@@ -97,7 +97,9 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     """Exact chart and H-description of ``{l > 0 : M l = p}``.
 
     Emptiness is decided exactly: the closure must have vertices and some
-    point of it must be strictly positive in every edge.
+    point of it must be strictly positive in every edge.  A single point
+    on a wall (some ``l_e = 0``) is empty here; :func:`holds_wall_point`
+    decides which top cell counts it.
     """
     g.require_valid()
     p = [Fraction(x) for x in perimeters]
@@ -117,16 +119,33 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     halfspaces = tuple(
         HalfSpace(coeffs, const, strict=True) for coeffs, const in charts)
     poly = Polytope(len(free), halfspaces)
-    if len(free) == 0:
-        nonempty = all(const > 0 for _, const in charts)
-    else:
-        vs = poly.vertices()
-        nonempty = bool(vs) and all(
-            max(sum((c * v[j] for j, c in enumerate(coeffs)), Fraction(0)) + const
-                for v in vs) > 0
-            for coeffs, const in charts)
+    nonempty = not poly.is_empty_interior()
     return CellPolytope(g, tuple(p), M, tuple(free), charts,
                         poly if nonempty else None, rank)
+
+
+def holds_wall_point(cell: CellPolytope) -> bool:
+    """Whether an empty zero-dimensional cell, whose point has some
+    ``l_e = 0`` and none negative, holds that point at perimeters
+    ``p + (eps, eps^2, ...)``.  Each tied length takes the sign of its
+    first non-zero response to the unit perimeter directions (simulation
+    of simplicity, Edelsbrunner-Muecke 1990), so exactly one of the cells
+    meeting at a wall counts the point."""
+    consts = [const for _, const in cell.edge_charts]
+    if not cell.is_empty or cell.dim or not consts or min(consts) < 0:
+        return False
+    tied = {e for e, const in enumerate(consts) if const == 0}
+    n = len(cell.incidence)
+    for i in range(n):
+        sol = solve_affine(cell.incidence, [int(j == i) for j in range(n)])
+        if sol is None:  # the perturbed perimeters leave the image of M
+            return False
+        if any(sol[0][e] < 0 for e in tied):
+            return False
+        tied = {e for e in tied if sol[0][e] == 0}
+        if not tied:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -323,11 +342,6 @@ def polygon_bundle(cell: CellPolytope, face_label: int) -> PolygonBundle:
     return PolygonBundle(cell=cell, face=face, complex=total, alpha=alpha,
                          base=base, projection=projection,
                          fiber_directions=dirs)
-
-
-def alpha_form(cell: CellPolytope, face_label: int) -> FormOnComplex:
-    """The connection form of one polygon bundle as a cellwise form."""
-    return polygon_bundle(cell, face_label).alpha
 
 
 def boundary_cells(g: StableRibbonGraph) -> list[tuple[int, StableRibbonGraph, bytes]]:

@@ -1,15 +1,15 @@
 """Command-line front end: one binary with subcommands.
 
-Exit codes: 0 success, 1 property failure, 2 usage error.  All randomness
-is seedable; set RIBBONCELLS_CACHE to a directory to cache enumerated
-class lists between runs.
+Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
+reports an invalid graph (``stable: False`` and its first violation) and
+still exits 0; an unreadable or malformed file exits 2.  All randomness is
+seedable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +23,6 @@ from .model0 import INFINITY, PointConfig, QQi, full_map
 from .permgraph import faces, genus, validate
 from .stable import ContractionError, contract_set
 from .suites import SUITE_NAMES, run_suite
-
-CACHE_ENV = "RIBBONCELLS_CACHE"
 
 
 def _load_graph(path: str) -> permgraph.StableRibbonGraph:
@@ -103,26 +101,6 @@ def cmd_contract(args) -> int:
 
 
 # -- enumerate ----------------------------------------------------------------
-
-
-def _cache_dir() -> Path | None:
-    path = os.environ.get(CACHE_ENV)
-    return Path(path) if path else None
-
-
-def cached_trivalent(g: int, n: int):
-    cache = _cache_dir()
-    if cache is not None:
-        f = cache / f"trivalent_g{g}_n{n}.json"
-        if f.exists():
-            data = json.loads(f.read_text())
-            return [permgraph.from_json_dict(d) for d in data["classes"]]
-    classes = [c.graph for c in enumerate_trivalent(g, n)]
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
-        payload = {"classes": [permgraph.to_json_dict(x) for x in classes]}
-        (cache / f"trivalent_g{g}_n{n}.json").write_text(json.dumps(payload))
-    return classes
 
 
 def cmd_enumerate(args) -> int:
@@ -310,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate graph classes")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--faces", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--trivalent", action="store_true", default=True)
-    mode.add_argument("--all-cells", action="store_true")
+    p.add_argument("--all-cells", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 

@@ -12,9 +12,9 @@ iff they are isomorphic in this sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
-from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex
+from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles, union_find
 
 
 class SizeGuardError(ValueError):
@@ -107,30 +107,29 @@ def _traversals(g: StableRibbonGraph, root: int, labelled: bool):
     yield from run([root], {root})
 
 
-def canonical_key(g: StableRibbonGraph, labelled: bool = True) -> bytes:
-    """Total-order key constant on isomorphism classes.
-
-    With ``labelled=False`` face labels are ignored (isomorphism may then
-    permute faces).
-    """
+def _least_serialization(g: StableRibbonGraph, labelled: bool) -> tuple:
+    """The minimum serialization over every root and traversal."""
     g.require_valid(require_stability=False)
     best = None
     for root in range(g.num_half_edges):
         for _, ser in _traversals(g, root, labelled):
             if best is None or ser < best:
                 best = ser
-    return repr(best).encode()
+    return best
+
+
+def canonical_key(g: StableRibbonGraph, labelled: bool = True) -> bytes:
+    """Total-order key constant on isomorphism classes.
+
+    With ``labelled=False`` face labels are ignored (isomorphism may then
+    permute faces).
+    """
+    return repr(_least_serialization(g, labelled)).encode()
 
 
 def canonical_form(g: StableRibbonGraph) -> StableRibbonGraph:
     """A distinguished representative of the isomorphism class of ``g``."""
-    g.require_valid(require_stability=False)
-    best = None
-    for root in range(g.num_half_edges):
-        for _, ser in _traversals(g, root, True):
-            if best is None or ser < best:
-                best = ser
-    sig0, sig1, vid, defects, fl = best
+    sig0, sig1, vid, defects, fl = _least_serialization(g, True)
     n = g.num_half_edges
     # the traversal relabelling need not respect the edge pairing; compose
     # with one more relabelling that does
@@ -142,7 +141,7 @@ def canonical_form(g: StableRibbonGraph) -> StableRibbonGraph:
     for h in range(n):
         blocks.setdefault(vid[h], []).append(pair_map[h])
     vertices = tuple(
-        Vertex(cycles=_cycles_on(s0_final, sorted(blocks[b])), defect=defects[b])
+        Vertex(cycles=cycles(s0_final, sorted(blocks[b])), defect=defects[b])
         for b in sorted(blocks))
     face_of = {pair_map[h]: fl[h] for h in range(n)} if fl else {}
     g2 = StableRibbonGraph(HalfEdgeSet(n), vertices, {})
@@ -163,23 +162,6 @@ def _pairing_relabel(sig1: tuple[int, ...]) -> list[int]:
         out[sig1[h]] = 2 * next_edge + 1
         next_edge += 1
     return out
-
-
-def _cycles_on(perm: list[int], domain: list[int]) -> tuple[tuple[int, ...], ...]:
-    seen = set()
-    out = []
-    for start in domain:
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        out.append(tuple(cyc))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +197,10 @@ def automorphisms(g: StableRibbonGraph) -> AutomorphismGroup:
 
     sigs = [signature(h) for h in range(n)]
 
-    # orbits of the group generated by sigma0 and the pairing
-    orbit_reps = []
-    orbit_of = [-1] * n
-    for h in range(n):
-        if orbit_of[h] != -1:
-            continue
-        rep = len(orbit_reps)
-        stack = [h]
-        orbit_of[h] = rep
-        while stack:
-            x = stack.pop()
-            for nb in (s0[x], x ^ 1):
-                if orbit_of[nb] == -1:
-                    orbit_of[nb] = rep
-                    stack.append(nb)
-        orbit_reps.append(h)
+    # orbits of the group generated by sigma0 and the pairing, each
+    # represented by its least half-edge
+    orbit = _orbits(s0)
+    orbit_reps = [h for h in range(n) if orbit[h] == h]
 
     def propagate(psi, anchor, image):
         """Extend partial map psi by psi[anchor]=image; return touched keys
@@ -357,81 +327,51 @@ def _products_of_3cycles(n: int, first_cycles=None):
 _ANCHORED_FIRST_CYCLES = ((0, 2, 4), (0, 1, 2), (0, 2, 1))
 
 
-def _face_cycle_count(s0: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    n = len(s0)
-    inv = [0] * n
+def _face_cycles(s0: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of ``sigma2 = sigma0^{-1} sigma1``, on plain arrays."""
+    inv = [0] * len(s0)
     for h, img in enumerate(s0):
         inv[img] = h
-    s2 = [inv[h ^ 1] for h in range(n)]
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = s2[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = s2[x]
-        cycles.append(tuple(cyc))
-    return len(cycles), cycles
+    return cycles([inv[h ^ 1] for h in range(len(s0))])
 
 
-def _transitive(s0: tuple[int, ...]) -> bool:
+def _orbits(s0: tuple[int, ...]) -> list[int]:
+    """Least half-edge of each half-edge's orbit under ``sigma0`` and the
+    pairing."""
     n = len(s0)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        h = stack.pop()
-        for nb in (s0[h], h ^ 1):
-            if not seen[nb]:
-                seen[nb] = True
-                count += 1
-                stack.append(nb)
-    return count == n
+    return union_find(n, chain(enumerate(s0), zip(range(0, n, 2), range(1, n, 2))))
 
 
 def trivalent_edge_count(g: int, n: int) -> int:
     return 3 * (2 * g - 2 + n)
 
 
-def enumerate_trivalent(g: int, n: int,
-                        max_edges: int = MAX_SWEEP_EDGES) -> list[GraphClass]:
+def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     """All isomorphism classes of connected trivalent ribbon graphs of
     genus ``g`` with ``n`` labelled faces, complete and duplicate-free.
 
     The sweep runs over every product of 3-cycles on ``2E`` half-edges,
-    filters by face count, connectivity and genus, collapses to unlabelled
-    classes, and then expands each class over the ``n!`` face labellings.
+    filters by face count and connectivity (with ``E`` fixed by ``(g, n)``,
+    these fix the genus), collapses to unlabelled classes, and then expands
+    each class over the ``n!`` face labellings.
     """
     if n < 1 or 2 - 2 * g - n >= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
     E = trivalent_edge_count(g, n)
     if E <= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) admits no trivalent graph (E = {E})")
-    if E > max_edges:
+    if E > MAX_SWEEP_EDGES:
         raise SizeGuardError(
-            f"E = {E} exceeds the exhaustive-sweep guard ({max_edges}); "
+            f"E = {E} exceeds the exhaustive-sweep guard ({MAX_SWEEP_EDGES}); "
             f"the sweep would visit too many vertex permutations")
     nh = 2 * E
-    V = nh // 3
-    target_chi = 2 - 2 * g
-
     unlabelled: dict[bytes, StableRibbonGraph] = {}
     for s0 in _products_of_3cycles(nh, first_cycles=_ANCHORED_FIRST_CYCLES):
-        nf, cycles = _face_cycle_count(s0)
-        if nf != n:
+        face_cycles = _face_cycles(s0)
+        if len(face_cycles) != n or len(set(_orbits(s0))) != 1:
             continue
-        if V - E + nf != target_chi:
-            continue
-        if not _transitive(s0):
-            continue
-        vertices = tuple(Vertex(cycles=(c,)) for c in _cycles_on(list(s0), list(range(nh))))
-        labels = {cyc[0]: i + 1 for i, cyc in enumerate(cycles)}
+        vertices = tuple(Vertex(cycles=(c,)) for c in cycles(s0))
+        labels = {cyc[0]: i + 1 for i, cyc in enumerate(face_cycles)}
         graph = StableRibbonGraph(HalfEdgeSet(nh), vertices, labels)
         ukey = canonical_key(graph, labelled=False)
         if ukey not in unlabelled:
@@ -459,13 +399,12 @@ class CellComplexSummary:
     top_keys: list[bytes]
 
 
-def enumerate_cells(g: int, n: int,
-                    max_edges: int = MAX_SWEEP_EDGES) -> CellComplexSummary:
+def enumerate_cells(g: int, n: int) -> CellComplexSummary:
     """All stable ribbon graph classes reachable from the trivalent top
     cells by admissible contractions, with the boundary relation."""
     from .stable import contract_edge, contractible_edges
 
-    tops = enumerate_trivalent(g, n, max_edges=max_edges)
+    tops = enumerate_trivalent(g, n)
     classes = {c.key: c for c in tops}
     boundary = []
     frontier = sorted(classes)

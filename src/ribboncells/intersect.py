@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from .cells import CellPolytope, cell_polytope
+from .cells import CellPolytope, cell_polytope, holds_wall_point
 from .enumeration import GraphClass, automorphisms, enumerate_trivalent
 from .permgraph import StableRibbonGraph, faces
 from .polyform import Form, Polynomial, volume
@@ -48,13 +48,6 @@ class OmegaForm:
     face_label: int
     num_edges: int
     pairs: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    def ambient_form(self) -> Form:
-        E = self.num_edges
-        comps = {}
-        for (a, b), c in self.pairs:
-            comps[(a, b)] = Polynomial.constant(E, c)
-        return Form(E, 2, comps)
 
 
 def omega(g: StableRibbonGraph, face_label: int, perimeters: Sequence,
@@ -173,10 +166,6 @@ class IntersectionQuery:
     def n(self) -> int:
         return len(self.exponents)
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
 
 def make_query(genus: int, exponents: Sequence[int],
                perimeters: Sequence | None = None) -> IntersectionQuery:
@@ -234,7 +223,12 @@ def integrate_cell(cls: GraphClass, query: IntersectionQuery) -> CellContributio
     g = cls.graph
     cell = cell_polytope(g, query.perimeters)
     if cell.is_empty:
-        return CellContribution(cls.key, automorphisms(g).order, True, 1,
+        aut = automorphisms(g).order
+        if holds_wall_point(cell):
+            # a point integrates the empty product, with volume 1
+            return CellContribution(cls.key, aut, False, 1, Fraction(1),
+                                    Fraction(1), Fraction(1, aut))
+        return CellContribution(cls.key, aut, True, 1,
                                 Fraction(0), Fraction(0), Fraction(0))
     form_list = []
     for i, d_i in enumerate(query.exponents, start=1):

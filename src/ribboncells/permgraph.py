@@ -17,9 +17,11 @@ are the special case of one cycle per vertex and all defects zero.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 
@@ -51,12 +53,6 @@ class HalfEdgeSet:
     @property
     def num_edges(self) -> int:
         return self.count // 2
-
-    def partner(self, h: int) -> int:
-        return h ^ 1
-
-    def edge_of(self, h: int) -> int:
-        return h >> 1
 
 
 @dataclass(frozen=True)
@@ -146,9 +142,6 @@ class StableRibbonGraph:
             raise InvalidGraphError("vertex cycles do not cover all half-edges")
         return tuple(out)
 
-    def sigma1(self, h: int) -> int:
-        return h ^ 1
-
     @cached_property
     def sigma0_inv(self) -> tuple[int, ...]:
         s = self.sigma0
@@ -165,7 +158,7 @@ class StableRibbonGraph:
 
     @cached_property
     def sigma2_cycles(self) -> tuple[tuple[int, ...], ...]:
-        return _cycles(self.sigma2)
+        return cycles(self.sigma2)
 
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
@@ -230,12 +223,14 @@ class StableRibbonGraph:
         return f"StableRibbonGraph(E={self.num_edges}, vertices={vs})"
 
 
-def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of a permutation, each starting at its minimal element,
-    ordered by that element."""
+def cycles(perm: Sequence[int],
+           domain: Iterable[int] | None = None) -> tuple[tuple[int, ...], ...]:
+    """Cycles of a permutation of ``range(len(perm))`` through the points
+    of ``domain`` (default: all of them), each starting at its first point
+    in ``domain`` order and listed in that order."""
     seen = [False] * len(perm)
     out = []
-    for start in range(len(perm)):
+    for start in range(len(perm)) if domain is None else domain:
         if seen[start]:
             continue
         cyc = [start]
@@ -247,6 +242,30 @@ def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             h = perm[h]
         out.append(tuple(cyc))
     return tuple(out)
+
+
+def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Connected components of ``range(n)`` under the given pairs: the
+    least point of each point's component, by union-find with path
+    halving."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # every link points downwards, so one increasing pass finds the roots
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def ordinary_graph(vertex_cycles: Iterable[Iterable[int]],
@@ -290,42 +309,32 @@ def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation 
                                      f"half-edge {h} appears at vertices {seen[h]} and {vi}")
                 seen[h] = vi
     if len(seen) != n:
-        missing = sorted(set(range(n)) - set(seen))
-        return Violation("partition", f"half-edges {missing} belong to no vertex")
+        # the claimed count may be far beyond the vertex data: name a few
+        missing = list(islice((h for h in range(n) if h not in seen), 3))
+        return Violation("partition", f"{n - len(seen)} half-edges belong to no "
+                                      f"vertex, first {missing}")
 
     # face labels: bijection from sigma2-cycles onto {1..n_faces}, n_faces >= 1
-    cycles = g.sigma2_cycles
-    if not cycles:
+    face_cycles = g.sigma2_cycles
+    if not face_cycles:
         return Violation("faces", "graph has no faces; at least one numbered face required")
     labels = []
-    for cyc in cycles:
+    for cyc in face_cycles:
         reps = [h for h in cyc if h in g.face_labels]
         if len(reps) != 1:
             return Violation(
                 "face-labels",
                 f"face {cyc} carries {len(reps)} representatives, expected exactly 1")
         labels.append(g.face_labels[reps[0]])
-    if len(g.face_labels) != len(cycles):
+    if len(g.face_labels) != len(face_cycles):
         return Violation("face-labels", "spurious face label keys present")
-    if sorted(labels) != list(range(1, len(cycles) + 1)):
-        return Violation("face-labels",
-                         f"labels {sorted(labels)} are not a bijection onto 1..{len(cycles)}")
+    if sorted(labels) != list(range(1, len(face_cycles) + 1)):
+        return Violation("face-labels", f"labels {sorted(labels)} are not a "
+                                        f"bijection onto 1..{len(face_cycles)}")
 
     # connectivity of the underlying graph (vertex blocks joined by edges)
-    parent = list(range(len(g.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     vert = g.vertex_of
-    for e in range(g.num_edges):
-        a, b = find(vert[2 * e]), find(vert[2 * e + 1])
-        if a != b:
-            parent[a] = b
-    roots = {find(vi) for vi in range(len(g.vertices))}
+    roots = set(union_find(len(g.vertices), zip(vert[0::2], vert[1::2])))
     if len(roots) > 1:
         return Violation("connectivity", f"graph has {len(roots)} components")
 
@@ -369,48 +378,25 @@ def genus(g: StableRibbonGraph) -> int:
     g.require_valid(require_stability=False)
 
     # split components: union-find over vertex-permutation cycles via edges
-    cycle_list = []
+    vertex_cycles = [cyc for v in g.vertices for cyc in v.cycles]
     cycle_of = [-1] * g.num_half_edges
-    for v in g.vertices:
-        for cyc in v.cycles:
-            ci = len(cycle_list)
-            cycle_list.append(cyc)
-            for h in cyc:
-                cycle_of[h] = ci
-
-    parent = list(range(len(cycle_list)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    for ci, cyc in enumerate(vertex_cycles):
+        for h in cyc:
+            cycle_of[h] = ci
+    root = union_find(len(vertex_cycles), zip(cycle_of[0::2], cycle_of[1::2]))
+    chi = Counter(root)  # Euler characteristic of each split component
     for e in range(g.num_edges):
-        a, b = find(cycle_of[2 * e]), find(cycle_of[2 * e + 1])
-        if a != b:
-            parent[a] = b
-
-    comp_v: dict[int, int] = {}
-    comp_e: dict[int, int] = {}
-    comp_f: dict[int, int] = {}
-    for ci in range(len(cycle_list)):
-        comp_v[find(ci)] = comp_v.get(find(ci), 0) + 1
-    for e in range(g.num_edges):
-        r = find(cycle_of[2 * e])
-        comp_e[r] = comp_e.get(r, 0) + 1
+        chi[root[cycle_of[2 * e]]] -= 1
     for cyc in g.sigma2_cycles:
-        r = find(cycle_of[cyc[0]])
-        comp_f[r] = comp_f.get(r, 0) + 1
+        chi[root[cycle_of[cyc[0]]]] += 1
 
     genus_sum = 0
-    for r, nv in comp_v.items():
-        chi = nv - comp_e.get(r, 0) + comp_f.get(r, 0)
-        if chi % 2 != 0:
+    for c in chi.values():
+        if c % 2 != 0:
             raise AssertionError("odd Euler characteristic in split component")
-        genus_sum += (2 - chi) // 2
+        genus_sum += (2 - c) // 2
 
-    num_components = len(comp_v)
+    num_components = len(chi)
     delta = sum(len(v.cycles) - 1 for v in g.vertices)
     arithmetic = genus_sum + delta - num_components + 1
     if arithmetic < 0:

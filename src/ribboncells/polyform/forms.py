@@ -76,18 +76,6 @@ class Form:
     def dx(i: int, nvars: int, coeff=1) -> "Form":
         return Form(nvars, 1, {(i,): Polynomial.constant(nvars, coeff)})
 
-    @staticmethod
-    def constant_two_form(nvars: int, pairs: Mapping[tuple[int, int], Fraction]) -> "Form":
-        comps = {}
-        for (a, b), c in pairs.items():
-            if a == b:
-                continue
-            idx, val = ((a, b), Fraction(c)) if a < b else ((b, a), -Fraction(c))
-            cur = comps.get(idx)
-            poly = Polynomial.constant(nvars, val)
-            comps[idx] = cur + poly if cur is not None else poly
-        return Form(nvars, 2, comps)
-
     # -- algebra ---------------------------------------------------------
 
     def _check(self, other: "Form"):

@@ -164,18 +164,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def integrate_unit_interval(self, i: int) -> "Polynomial":
-        """Definite integral over variable ``i`` from 0 to 1 (the variable
-        is eliminated, arity preserved with exponent 0)."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            p = e2[i]
-            e2[i] = 0
-            key = tuple(e2)
-            out[key] = out.get(key, Fraction(0)) + c / (p + 1)
-        return Polynomial(self.nvars, out)
-
 
 def simplex_integral(poly: Polynomial) -> Fraction:
     """Exact integral of a polynomial over the standard simplex

@@ -4,47 +4,35 @@ from __future__ import annotations
 
 import random
 
-from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, validate
+from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles, validate
 
 
-def random_stable_graph(rng: random.Random, max_edges: int = 8,
-                        max_defect: int = 2) -> StableRibbonGraph:
+def random_stable_graph(rng: random.Random, max_edges: int = 8) -> StableRibbonGraph:
     """Draw a valid stable ribbon graph with between 1 and ``max_edges``
-    edges.  Defects are bumped where stability demands one; the draw is
-    retried until the underlying graph is connected."""
+    edges and genus defects of at most 2.  Defects are bumped where
+    stability demands one; the draw is retried until the underlying graph
+    is connected."""
     while True:
         E = rng.randint(1, max_edges)
         nh = 2 * E
         perm = list(range(nh))
         rng.shuffle(perm)
         # cycles of a uniform random permutation
-        cycles = []
-        seen = [False] * nh
-        for start in range(nh):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = perm[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = perm[x]
-            cycles.append(tuple(cyc))
-        rng.shuffle(cycles)
-        num_vertices = rng.randint(1, len(cycles))
+        perm_cycles = list(cycles(perm))
+        rng.shuffle(perm_cycles)
+        num_vertices = rng.randint(1, len(perm_cycles))
         buckets: list[list[tuple[int, ...]]] = [[] for _ in range(num_vertices)]
-        for i, cyc in enumerate(cycles):
+        for i, cyc in enumerate(perm_cycles):
             if i < num_vertices:
                 buckets[i].append(cyc)
             else:
                 buckets[rng.randrange(num_vertices)].append(cyc)
         vertices = []
         for cycs in buckets:
-            v = Vertex(cycles=tuple(cycs), defect=rng.randint(0, max_defect))
+            v = Vertex(cycles=tuple(cycs), defect=rng.randint(0, 2))
             if v.defect == 0 and (v.degree == 1
                                   or (v.degree == 2 and len(v.cycles) == 1)):
-                v = Vertex(cycles=v.cycles, defect=rng.randint(1, max_defect))
+                v = Vertex(cycles=v.cycles, defect=rng.randint(1, 2))
             vertices.append(v)
         g = StableRibbonGraph(HalfEdgeSet(nh), tuple(vertices), {})
         labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}

@@ -16,7 +16,8 @@ first-return structure induced on that component.
 
 from __future__ import annotations
 
-from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, genus
+from .permgraph import (HalfEdgeSet, StableRibbonGraph, Vertex, cycles, genus,
+                        union_find)
 
 
 class ContractionError(ValueError):
@@ -93,25 +94,12 @@ def _rebuild(g: StableRibbonGraph, contract: set[int],
         new_block = sorted(remap[h] for h in old_block if (h >> 1) not in contract)
         if not new_block:
             raise AssertionError("contraction produced an empty vertex")
-        cycles = []
-        block_set = set(new_block)
-        seen = set()
-        for start in new_block:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = s0_new[start]
-            while x != start:
-                if x not in block_set:
-                    raise AssertionError("sigma0' does not respect the merged blocks")
-                cyc.append(x)
-                seen.add(x)
-                x = s0_new[x]
-            cycles.append(tuple(cyc))
+        block_cycles = cycles(s0_new, new_block)
+        if sorted(h for cyc in block_cycles for h in cyc) != new_block:
+            raise AssertionError("sigma0' does not respect the merged blocks")
         for h in new_block:
             assigned[h] = True
-        vertices.append(Vertex(cycles=tuple(cycles), defect=defect))
+        vertices.append(Vertex(cycles=block_cycles, defect=defect))
     if not all(assigned):
         raise AssertionError("merged blocks do not cover the surviving half-edges")
 
@@ -165,26 +153,11 @@ def contract_edge(g: StableRibbonGraph, e: int) -> StableRibbonGraph:
 def _components(g: StableRibbonGraph, edges: set[int]) -> list[set[int]]:
     """Connected components of the subgraph spanned by ``edges`` (edges are
     adjacent when they share a vertex)."""
-    parent = {e: e for e in edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_vertex: dict[int, list[int]] = {}
-    for e in edges:
-        for h in (2 * e, 2 * e + 1):
-            by_vertex.setdefault(g.vertex_of[h], []).append(e)
-    for group in by_vertex.values():
-        for other in group[1:]:
-            a, b = find(group[0]), find(other)
-            if a != b:
-                parent[a] = b
+    vert = g.vertex_of
+    root = union_find(len(g.vertices), ((vert[2 * e], vert[2 * e + 1]) for e in edges))
     comps: dict[int, set[int]] = {}
     for e in edges:
-        comps.setdefault(find(e), set()).add(e)
+        comps.setdefault(root[vert[2 * e]], set()).add(e)
     return sorted(comps.values(), key=min)
 
 
@@ -229,20 +202,7 @@ def induced_component_graph(g: StableRibbonGraph, component: set[int] | list[int
         block_new = sorted(remap[h] for h in v.block if (h >> 1) in comp)
         if not block_new:
             continue
-        cycles = []
-        seen = set()
-        for start in block_new:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = s0_new[start]
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = s0_new[x]
-            cycles.append(tuple(cyc))
-        vertices.append(Vertex(cycles=tuple(cycles), defect=v.defect))
+        vertices.append(Vertex(cycles=cycles(s0_new, block_new), defect=v.defect))
 
     sub = StableRibbonGraph(HalfEdgeSet(n_new), tuple(vertices), {})
     # label faces: those that are faces of g keep g's label ordering first

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +48,24 @@ class TestInspect:
         bad.write_text('{"half_edges": 6,,}')
         assert main(["inspect", str(bad)]) == 2
         assert "offset" in capsys.readouterr().err
+
+    def test_claimed_count_beyond_vertex_data_is_bounded(self, tmp_path, capsys):
+        # a tiny file claiming two million half-edges: the report names a
+        # few missing ones, and memory follows the file, not the claim
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"half_edges": 2000000, "vertices": '
+                        '[{"cycles": [[0, 1, 2]], "defect": 0}], "face_labels": {}}')
+        tracemalloc.start()
+        try:
+            code = main(["inspect", str(huge)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "stable: False" in out and "partition" in out
+        assert len(out.encode()) < 1024
+        assert peak < 5 * 2 ** 20
 
 
 class TestContract:
@@ -115,6 +138,18 @@ class TestIntersectCmd:
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
 
+    def test_wall_perimeters_in_a_fresh_process(self):
+        # 22 = 3 + 19: both zero-dimensional cells touch the wall
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "ribboncells.cli", "intersect", "--genus", "0",
+             "--d", "0,0,0", "--perimeters", "3,22,19"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "1"
+
 
 class TestModel0Cmd:
     def test_points_parsing(self, capsys):
@@ -149,15 +184,3 @@ class TestCheckCmd:
         for x in ra + rb:
             x.pop("wall_time")
         assert ra == rb
-
-
-class TestCache:
-    def test_cache_env_round_trip(self, tmp_path, monkeypatch):
-        from ribboncells.cli import cached_trivalent
-
-        monkeypatch.setenv("RIBBONCELLS_CACHE", str(tmp_path))
-        first = cached_trivalent(0, 3)
-        assert (tmp_path / "trivalent_g0_n3.json").exists()
-        second = cached_trivalent(0, 3)
-        assert [permgraph.to_json_dict(g) for g in first] == \
-            [permgraph.to_json_dict(g) for g in second]

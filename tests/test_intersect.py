@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -161,6 +161,40 @@ class TestOrientation:
         a = integrate_cell(c, make_query(1, [1], [F(5)]))
         b = integrate_cell(c, make_query(1, [1], [F(40, 3)]))
         assert a.contribution == b.contribution == F(1, 24)
+
+
+def _is_03_wall(p):
+    """Some perimeter equals another, or the sum of the other two."""
+    a, b, c = p
+    return len(set(p)) < 3 or a == b + c or b == a + c or c == a + b
+
+
+class TestWallPerimeters:
+    """Perimeter vectors on which some closed cell touches ``l_e = 0``.
+    Ties are broken by a symbolic perturbation; the value must not move."""
+
+    def test_every_03_wall_up_to_8(self):
+        walls = [p for p in product(range(1, 9), repeat=3) if _is_03_wall(p)]
+        assert len(walls) == 248
+        wrong = [p for p in walls
+                 if intersection_number(0, [0, 0, 0], p).value != tau(0, 0, 0)]
+        assert wrong == []
+
+    def test_exactly_one_03_cell_survives_a_sum_wall(self):
+        r = intersection_number(0, [0, 0, 0], [3, 22, 19])
+        assert r.value == 1
+        assert sum(1 for c in r.cells if not c.empty) == 1
+
+    @pytest.mark.parametrize("p", [(5, 5, 7, 11), (3, 5, 8, 13), (3, 11, 7, 7),
+                                   (2, 3, 4, 9), (1, 1, 2, 2), (1, 1, 1, 1)])
+    def test_04_walls(self, p):
+        for d in ((1, 0, 0, 0), (0, 0, 0, 1)):
+            assert intersection_number(0, d, p).value == tau(*d)
+
+    @pytest.mark.parametrize("p", [(5, 5), (3, 6), (6, 3), (2, 6), (1, 1)])
+    def test_12_walls(self, p):
+        for d in ((2, 0), (1, 1), (0, 2)):
+            assert intersection_number(1, d, p).value == tau(*d)
 
 
 class TestIntersectionNumbers:
