@@ -22,9 +22,11 @@ class SizeGuardError(ValueError):
 
 
 #: Largest edge count accepted by the exhaustive trivalent sweep.  The
-#: sweep visits every product of 3-cycles on 2E half-edges, which is
-#: ~2.5e5 permutations at E=6 and ~1.2e10 at E=9; the default guard stops
-#: at the desk-scale boundary.
+#: sweep visits every product of 3-cycles on 2E half-edges whose cycle
+#: through 0 is one of ``_ANCHORED_FIRST_CYCLES``: 6,720 permutations at
+#: E=6 and ~1.3e8 at E=9.  The rooted-code memo makes each visit O(E), but
+#: the count itself still grows factorially, so the guard stops at the
+#: desk-scale boundary.
 MAX_SWEEP_EDGES = 6
 
 
@@ -32,17 +34,47 @@ MAX_SWEEP_EDGES = 6
 # canonical key
 
 
-def _serialize(g: StableRibbonGraph, order: list[int], labelled: bool) -> tuple:
-    """Serialize the structure relabelled by discovery order."""
-    n = g.num_half_edges
-    pos = [0] * n
+def _discover(s0: tuple[int, ...], order: list[int], seen: set[int]) -> None:
+    """Extend ``order`` from its last half-edge to its closure under the
+    discovery walk: from each discovered half-edge, first its vertex-cycle
+    successor ``s0[h]``, then its edge partner ``h ^ 1``."""
+    i = len(order) - 1
+    while i < len(order):
+        h = order[i]
+        for nb in (s0[h], h ^ 1):
+            if nb not in seen:
+                seen.add(nb)
+                order.append(nb)
+        i += 1
+
+
+def _relabelled(s0: tuple[int, ...],
+                order: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``sigma0`` and the edge pairing relabelled by discovery order."""
+    pos = [0] * len(s0)
     for new, old in enumerate(order):
         pos[old] = new
-    s0 = g.sigma0
-    vert = g.vertex_of
-    sig0 = tuple(pos[s0[old]] for old in order)
-    sig1 = tuple(pos[old ^ 1] for old in order)
+    return (tuple(pos[s0[old]] for old in order),
+            tuple(pos[old ^ 1] for old in order))
 
+
+def _rooted_code(s0: tuple[int, ...], root: int) -> tuple | None:
+    """The rooted code of a one-cycle-per-vertex structure: ``sigma0`` and
+    the pairing relabelled in discovery order from ``root``, or ``None``
+    if the walk misses a half-edge (``sigma0`` and the pairing are then
+    not transitive).  Two rooted structures have equal codes iff some
+    bijection carries one onto the other, root to root."""
+    order = [root]
+    _discover(s0, order, {root})
+    if len(order) != len(s0):
+        return None
+    return _relabelled(s0, order)
+
+
+def _serialize(g: StableRibbonGraph, order: list[int], labelled: bool) -> tuple:
+    """Serialize the structure relabelled by discovery order."""
+    sig0, sig1 = _relabelled(g.sigma0, order)
+    vert = g.vertex_of
     block_order: dict[int, int] = {}
     vid = []
     for old in order:
@@ -74,18 +106,8 @@ def _traversals(g: StableRibbonGraph, root: int, labelled: bool):
     s0 = g.sigma0
     vert = g.vertex_of
 
-    def extend(order: list[int], seen: set[int]):
-        i = len(order) - 1
-        while i < len(order):
-            h = order[i]
-            for nb in (s0[h], h ^ 1):
-                if nb not in seen:
-                    seen.add(nb)
-                    order.append(nb)
-            i += 1
-
     def run(order: list[int], seen: set[int]):
-        extend(order, seen)
+        _discover(s0, order, seen)
         if len(order) == n:
             yield order, _serialize(g, order, labelled)
             return
@@ -354,6 +376,13 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     filters by face count and connectivity (with ``E`` fixed by ``(g, n)``,
     these fix the genus), collapses to unlabelled classes, and then expands
     each class over the ``n!`` face labellings.
+
+    Each unlabelled class is canonicalised once, by the permutation that
+    first reaches it; that permutation is its representative.  Its rooted
+    codes from all ``2E`` roots then go into a memo, and a later
+    permutation whose code from root 0 is in the memo belongs to a known
+    class and is skipped after one O(E) walk (isomorph rejection by
+    orbit).  The same walk tests connectivity.
     """
     if n < 1 or 2 - 2 * g - n >= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
@@ -366,16 +395,20 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
             f"the sweep would visit too many vertex permutations")
     nh = 2 * E
     unlabelled: dict[bytes, StableRibbonGraph] = {}
+    # rooted codes, from every root, of every unlabelled class found so far
+    known: set[tuple] = set()
     for s0 in _products_of_3cycles(nh, first_cycles=_ANCHORED_FIRST_CYCLES):
+        code = _rooted_code(s0, 0)
+        if code is None or code in known:
+            continue
         face_cycles = _face_cycles(s0)
-        if len(face_cycles) != n or len(set(_orbits(s0))) != 1:
+        if len(face_cycles) != n:
             continue
         vertices = tuple(Vertex(cycles=(c,)) for c in cycles(s0))
         labels = {cyc[0]: i + 1 for i, cyc in enumerate(face_cycles)}
         graph = StableRibbonGraph(HalfEdgeSet(nh), vertices, labels)
-        ukey = canonical_key(graph, labelled=False)
-        if ukey not in unlabelled:
-            unlabelled[ukey] = graph
+        unlabelled.setdefault(canonical_key(graph, labelled=False), graph)
+        known.update(_rooted_code(s0, root) for root in range(nh))
 
     classes: dict[bytes, StableRibbonGraph] = {}
     for graph in unlabelled.values():

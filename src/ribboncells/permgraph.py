@@ -97,9 +97,11 @@ class StableRibbonGraph:
 
     ``face_labels`` maps one representative half-edge of each ``sigma2``
     cycle to its label; labels form a bijection onto ``{1..n}``.  Instances
-    are immutable; all derived structure is cached.  Construction does not
-    validate -- call :func:`validate` (or :meth:`require_valid`) to check
-    the invariants.
+    are immutable: nothing mutates ``vertices`` or ``face_labels`` after
+    construction, so all derived structure, and the outcome of
+    :meth:`require_valid`, is cached.  Construction does not validate --
+    call :func:`validate` (or :meth:`require_valid`) to check the
+    invariants.
     """
 
     half_edges: HalfEdgeSet
@@ -186,9 +188,17 @@ class StableRibbonGraph:
     # -- validation ---------------------------------------------------
 
     def require_valid(self, require_stability: bool = True) -> "StableRibbonGraph":
-        v = validate(self, require_stability=require_stability)
-        if v is not None:
-            raise InvalidGraphError(str(v))
+        """Raise :class:`InvalidGraphError` unless the graph is valid.
+
+        A pass is remembered per ``require_stability`` flag, so validation
+        runs once per instance; an invalid graph is re-checked, and raises,
+        on every call."""
+        passed = self.__dict__.setdefault("_validated", set())
+        if require_stability not in passed:
+            v = validate(self, require_stability=require_stability)
+            if v is not None:
+                raise InvalidGraphError(str(v))
+            passed.add(require_stability)
         return self
 
     def is_ordinary(self) -> bool:

@@ -135,9 +135,6 @@ class Polynomial:
             out[tuple(e2)] = c * e[i]
         return Polynomial(self.nvars, out)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def eval(self, point: Sequence) -> Fraction:
         pt = [Fraction(x) for x in point]
         total = Fraction(0)

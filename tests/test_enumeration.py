@@ -6,10 +6,12 @@ import pytest
 from conftest import make_graph
 from oracles import brute_force_isomorphic, brute_force_isomorphisms
 
-from ribboncells.enumeration import (SizeGuardError, automorphisms,
-                                     canonical_form, canonical_key,
-                                     enumerate_cells, enumerate_trivalent,
-                                     isomorphic, trivalent_edge_count)
+from ribboncells import enumeration
+from ribboncells.enumeration import (SizeGuardError, _rooted_code,
+                                     automorphisms, canonical_form,
+                                     canonical_key, enumerate_cells,
+                                     enumerate_trivalent, isomorphic,
+                                     trivalent_edge_count)
 from ribboncells.permgraph import StableRibbonGraph, genus, relabel, validate
 from ribboncells.sampling import random_edge_relabelling, random_stable_graph
 
@@ -168,6 +170,61 @@ class TestEnumerateTrivalent:
                 gr = c.graph
                 V = len(gr.vertices)
                 assert V - gr.num_edges + gr.num_faces == 2 - 2 * g
+
+
+#: (g, n) with E <= 6, the number of unlabelled trivalent classes, and the
+#: number of labelling candidates (unlabelled classes times n!)
+SWEEP_SIZES = [(0, 3, 2, 12), (1, 1, 1, 1), (0, 4, 6, 144), (1, 2, 5, 10)]
+
+
+def unlabelled_representatives(g, n):
+    """One graph per unlabelled class among the trivalent classes."""
+    reps = {}
+    for c in enumerate_trivalent(g, n):
+        reps.setdefault(canonical_key(c.graph, labelled=False), c.graph)
+    return list(reps.values())
+
+
+def rooted_codes(graph):
+    return {_rooted_code(graph.sigma0, r) for r in range(graph.num_half_edges)}
+
+
+class TestRootedCodeMemo:
+    @pytest.mark.parametrize("g, n, unlabelled, candidates", SWEEP_SIZES)
+    def test_one_search_per_class(self, monkeypatch, g, n, unlabelled, candidates):
+        calls = {True: 0, False: 0}
+        real = enumeration.canonical_key
+
+        def counting(graph, labelled=True):
+            calls[labelled] += 1
+            return real(graph, labelled)
+
+        monkeypatch.setattr(enumeration, "canonical_key", counting)
+        enumerate_trivalent(g, n)
+        assert calls == {False: unlabelled, True: candidates}
+
+    @pytest.mark.parametrize("g, n, unlabelled, candidates", SWEEP_SIZES)
+    def test_code_sets_of_classes_disjoint(self, g, n, unlabelled, candidates):
+        sets = [rooted_codes(gr) for gr in unlabelled_representatives(g, n)]
+        assert len(sets) == unlabelled
+        for i, a in enumerate(sets):
+            assert None not in a
+            for b in sets[i + 1:]:
+                assert a.isdisjoint(b)
+
+    @pytest.mark.parametrize("g, n, unlabelled, candidates", SWEEP_SIZES)
+    def test_root_code_survives_relabelling(self, g, n, unlabelled, candidates):
+        rng = random.Random(1000 * g + n)
+        for graph in unlabelled_representatives(g, n):
+            codes = rooted_codes(graph)
+            for _ in range(20):
+                psi = random_edge_relabelling(rng, graph.num_edges)
+                assert _rooted_code(relabel(graph, psi).sigma0, 0) in codes
+
+    def test_disconnected_has_no_code(self):
+        # two theta graphs side by side: vertices (0 2 4)(1 3 5), (6 8 10)(7 9 11)
+        s0 = (2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7)
+        assert _rooted_code(s0, 0) is None
 
 
 class TestEnumerateCells:

@@ -2,7 +2,8 @@
 
 Class files, ledgers and boundary lists name graphs by their canonical
 keys, and the property suites replay seeded draws.  A change to either
-must be deliberate, so the bytes are pinned here: the sorted canonical
+must be deliberate, so the bytes are pinned here: the keys and
+representative graphs of the trivalent classes, the sorted canonical
 keys and boundary triples of two cell closures, and the JSON of the first
 draws of the stable-graph sampler for one seed.
 """
@@ -13,9 +14,22 @@ import random
 
 import pytest
 
-from ribboncells.enumeration import enumerate_cells
+from ribboncells.enumeration import enumerate_cells, enumerate_trivalent
 from ribboncells.permgraph import to_json_dict
 from ribboncells.sampling import random_stable_graph
+
+
+@pytest.mark.parametrize("g, n, digest", [
+    (0, 3, "a46f397a2204f8c377a7b2bbc0fc8e63adebbb62153d7f7605db906afce78144"),
+    (1, 1, "af7e939d4a29e0a93909edfdfafc2b0b9c6abb83830df5b86d32df6fa697718a"),
+    (0, 4, "a711505b2807208496df659f62a7399379986e68e3efcf38ff85b7ef139ad90c"),
+    (1, 2, "c83ed61b7723200949681f3d917542f7c756a8e08e5752c7dce196b4a1db25c3"),
+])
+def test_trivalent_keys_and_representatives(g, n, digest):
+    # boundary edge indices are indices into these representatives
+    text = json.dumps([[c.key.hex(), to_json_dict(c.graph)]
+                       for c in enumerate_trivalent(g, n)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _closure_digest(g, n):

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_graph
 from oracles import compose, cycles_of, invert
 
+from ribboncells import permgraph
 from ribboncells.permgraph import (HalfEdgeSet, InvalidGraphError,
                                    StableRibbonGraph, Vertex, faces,
                                    from_json_dict, genus, loads, ordinary_graph,
@@ -175,3 +176,31 @@ class TestOpsRequireValidity:
         g = make_graph([([(0,), (1,)], 0), ([(2,), (3,)], 0)])
         with pytest.raises(InvalidGraphError):
             faces(g)
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        """The ``require_stability`` flag of every ``validate`` call."""
+        calls = []
+        real = permgraph.validate
+
+        def counting(g, require_stability=True):
+            calls.append(require_stability)
+            return real(g, require_stability)
+
+        monkeypatch.setattr(permgraph, "validate", counting)
+        return calls
+
+    def test_validation_runs_once_per_instance_and_flag(self, validate_calls):
+        g = make_graph([([(0, 2, 4)], 0), ([(1, 5, 3)], 0)])
+        for _ in range(3):
+            g.require_valid()
+            g.require_valid(require_stability=False)
+            genus(g)
+        assert validate_calls == [True, False]
+
+    def test_invalid_graph_raises_every_time(self, validate_calls):
+        g = make_graph([([(0,), (1,)], 0), ([(2,), (3,)], 0)])
+        for _ in range(2):
+            with pytest.raises(InvalidGraphError):
+                g.require_valid(require_stability=False)
+        assert validate_calls == [False, False]
