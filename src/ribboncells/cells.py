@@ -20,7 +20,7 @@ exterior derivative descends to the cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -207,18 +207,24 @@ class PolygonFiber:
 
 def fiber_integral_alpha(fiber: PolygonFiber) -> Fraction:
     """Exact integral of the connection form over the polygon fiber, by
-    piecewise integration of the t-component over each arc."""
+    piecewise integration of the t-component over each arc.
+
+    Between two consecutive vertices the sorted order of the distances is
+    fixed and each distance phi_j is affine in t, so its rate is read off
+    :meth:`PolygonFiber.vertex_distances` at two points inside the arc."""
     p = fiber.perimeter
     qs = list(fiber.vertex_positions()) + [p]
-    lam = fiber.traversal_lengths()
     total = Fraction(0)
-    for m in range(fiber.degree):
-        lo, hi = qs[m], qs[m + 1]
-        # on this arc each distance phi_j falls at unit rate in t, so the
-        # t-component of alpha is -(sum of all side lengths)/p^2
-        coefficient = -sum(lam, Fraction(0)) / p ** 2
-        total += coefficient * (hi - lo)
-    return total
+    for lo, hi in zip(qs, qs[1:]):
+        # the t-component of alpha is sum_j lambda_j phi_j' / p^2; with t1
+        # and t2 at a quarter and three quarters of the arc, its integral
+        # over the arc is 2 sum_j lambda_j (phi_j(t2) - phi_j(t1)) / p^2
+        quarter = (hi - lo) / 4
+        at1 = replace(fiber, t=lo + quarter).vertex_distances()
+        at2 = replace(fiber, t=hi - quarter).vertex_distances()
+        total += sum((lam * (phi2 - phi1) for (phi1, lam), (phi2, _)
+                      in zip(at1, at2)), Fraction(0))
+    return 2 * total / p ** 2
 
 
 def scaled_fiber(fiber: PolygonFiber, scale) -> PolygonFiber:

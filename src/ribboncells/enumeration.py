@@ -7,14 +7,20 @@ blocks, preserve genus defects, and fix every face label.  The canonical
 key of a graph is the minimum, over all rooted deterministic traversals,
 of a serialization of the relabelled structure; two graphs have equal keys
 iff they are isomorphic in this sense.
+
+The same search gives the automorphism group.  An automorphism carries a
+traversal onto a traversal with the same serialization, and two traversals
+with equal serializations differ by exactly one automorphism; so the
+traversals that attain the least serialization are the images of the first
+of them under the group, one per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 
-from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles, union_find
+from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles
 
 
 class SizeGuardError(ValueError):
@@ -129,15 +135,23 @@ def _traversals(g: StableRibbonGraph, root: int, labelled: bool):
     yield from run([root], {root})
 
 
-def _least_serialization(g: StableRibbonGraph, labelled: bool) -> tuple:
-    """The minimum serialization over every root and traversal."""
-    g.require_valid(require_stability=False)
-    best = None
-    for root in range(g.num_half_edges):
-        for _, ser in _traversals(g, root, labelled):
-            if best is None or ser < best:
-                best = ser
-    return best
+def _least_serialization(g: StableRibbonGraph,
+                         labelled: bool) -> tuple[tuple, list[list[int]]]:
+    """The minimum serialization over every root and traversal, with every
+    traversal order that attains it.  The result is remembered per instance
+    and per ``labelled`` flag."""
+    memo = g.__dict__.setdefault("_least", {})
+    if labelled not in memo:
+        g.require_valid(require_stability=False)
+        best, orders = None, []
+        for root in range(g.num_half_edges):
+            for order, ser in _traversals(g, root, labelled):
+                if best is None or ser < best:
+                    best, orders = ser, [order]
+                elif ser == best:
+                    orders.append(order)
+        memo[labelled] = best, orders
+    return memo[labelled]
 
 
 def canonical_key(g: StableRibbonGraph, labelled: bool = True) -> bytes:
@@ -146,12 +160,12 @@ def canonical_key(g: StableRibbonGraph, labelled: bool = True) -> bytes:
     With ``labelled=False`` face labels are ignored (isomorphism may then
     permute faces).
     """
-    return repr(_least_serialization(g, labelled)).encode()
+    return repr(_least_serialization(g, labelled)[0]).encode()
 
 
 def canonical_form(g: StableRibbonGraph) -> StableRibbonGraph:
     """A distinguished representative of the isomorphism class of ``g``."""
-    sig0, sig1, vid, defects, fl = _least_serialization(g, True)
+    sig0, sig1, vid, defects, fl = _least_serialization(g, True)[0]
     n = g.num_half_edges
     # the traversal relabelling need not respect the edge pairing; compose
     # with one more relabelling that does
@@ -193,7 +207,6 @@ def _pairing_relabel(sig1: tuple[int, ...]) -> list[int]:
 @dataclass(frozen=True)
 class AutomorphismGroup:
     order: int
-    generators: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[int, ...], ...]
 
 
@@ -203,88 +216,15 @@ def isomorphic(g1: StableRibbonGraph, g2: StableRibbonGraph) -> bool:
 
 
 def automorphisms(g: StableRibbonGraph) -> AutomorphismGroup:
-    """The full group of face-label-fixing automorphisms, by propagation
-    over orbit anchors."""
-    g.require_valid(require_stability=False)
-    n = g.num_half_edges
-    s0 = g.sigma0
-    vert = g.vertex_of
-    fl = g.face_label_of
-
-    # local signature narrowing candidate images
-    def signature(h):
-        v = g.vertices[vert[h]]
-        cyc = next(c for c in v.cycles if h in c)
-        return (v.degree, len(v.cycles), v.defect, len(cyc), fl[h])
-
-    sigs = [signature(h) for h in range(n)]
-
-    # orbits of the group generated by sigma0 and the pairing, each
-    # represented by its least half-edge
-    orbit = _orbits(s0)
-    orbit_reps = [h for h in range(n) if orbit[h] == h]
-
-    def propagate(psi, anchor, image):
-        """Extend partial map psi by psi[anchor]=image; return touched keys
-        or None on conflict."""
-        stack = [(anchor, image)]
-        touched = []
-        while stack:
-            a, b = stack.pop()
-            cur = psi.get(a)
-            if cur is not None:
-                if cur != b:
-                    return None
-                continue
-            if sigs[a] != sigs[b]:
-                return None
-            psi[a] = b
-            touched.append(a)
-            stack.append((s0[a], s0[b]))
-            stack.append((a ^ 1, b ^ 1))
-        return touched
-
-    results = []
-
-    def finalize(psi):
-        img = sorted(psi.values())
-        if img != list(range(n)):
-            return
-        # vertex blocks map to vertex blocks with equal defects
-        for v in g.vertices:
-            images = {vert[psi[h]] for h in v.block}
-            if len(images) != 1:
-                return
-            w = g.vertices[images.pop()]
-            if w.defect != v.defect or w.degree != v.degree:
-                return
-        # face labels fixed (guaranteed by signature but cheap to recheck)
-        for h in range(n):
-            if fl[psi[h]] != fl[h]:
-                return
-        results.append(tuple(psi[h] for h in range(n)))
-
-    def search(k, psi):
-        if k == len(orbit_reps):
-            finalize(psi)
-            return
-        anchor = orbit_reps[k]
-        used = set(psi.values())
-        for image in range(n):
-            if image in used or sigs[image] != sigs[anchor]:
-                continue
-            trial = dict(psi)
-            if propagate(trial, anchor, image) is None:
-                continue
-            if len(set(trial.values())) != len(trial):
-                continue
-            search(k + 1, trial)
-
-    search(0, {})
-    elements = tuple(sorted(results))
-    identity = tuple(range(n))
-    gens = tuple(e for e in elements if e != identity)
-    return AutomorphismGroup(order=len(elements), generators=gens, elements=elements)
+    """The full group of face-label-fixing automorphisms, read off the
+    labelled canonical search: the element that carries the first least
+    traversal ``o_min`` onto the least traversal ``o`` maps ``o_min[i]``
+    to ``o[i]``."""
+    _, orders = _least_serialization(g, True)
+    # where each half-edge stands in o_min
+    at = sorted(range(len(orders[0])), key=orders[0].__getitem__)
+    elements = tuple(sorted(tuple(o[i] for i in at) for o in orders))
+    return AutomorphismGroup(order=len(elements), elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +295,6 @@ def _face_cycles(s0: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     for h, img in enumerate(s0):
         inv[img] = h
     return cycles([inv[h ^ 1] for h in range(len(s0))])
-
-
-def _orbits(s0: tuple[int, ...]) -> list[int]:
-    """Least half-edge of each half-edge's orbit under ``sigma0`` and the
-    pairing."""
-    n = len(s0)
-    return union_find(n, chain(enumerate(s0), zip(range(0, n, 2), range(1, n, 2))))
 
 
 def trivalent_edge_count(g: int, n: int) -> int:

@@ -12,9 +12,15 @@ volume form; summing ``sign * coefficient * volume / |Aut|`` over all
 trivalent classes yields the intersection number, independent of the
 perimeters chosen.
 
-Cells are oriented so that ``(sum_i p_i^2 omega_i)^D`` is positive; the
-overall normalization makes the (0, 3) number equal to 1 and is then fixed
-once and for all.
+Every omega_i is constant, so in the 2D-dimensional chart it is an
+antisymmetric matrix A_i, and (sum_i t_i omega_i)^D / D! =
+Pf(sum_i t_i A_i) dx_1 ... dx_2D (Kontsevich 1992, section 2).  The cell
+coefficient is the multilinear part of that Pfaffian, and no polynomial
+algebra is needed.
+
+Cells are oriented so that ``(sum_i p_i^2 omega_i)^D``, that is the
+Pfaffian of ``sum_i p_i^2 A_i``, is positive; the overall normalization
+makes the (0, 3) number equal to 1 and is then fixed once and for all.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Sequence
 
 from .cells import CellPolytope, cell_polytope, holds_wall_point
 from .enumeration import GraphClass, automorphisms, enumerate_trivalent
+from .linalg import pfaffian
 from .permgraph import StableRibbonGraph, faces
 from .polyform import Form, Polynomial, volume
 
@@ -75,85 +81,87 @@ def omega(g: StableRibbonGraph, face_label: int, perimeters: Sequence,
     return OmegaForm(face_label=face_label, num_edges=g.num_edges, pairs=pairs)
 
 
+def _chart_matrix(form: OmegaForm, cell: CellPolytope) -> list[list[Fraction]]:
+    """The antisymmetric d x d matrix A of the 2-form in the cell's
+    free-coordinate chart, ``form = sum_{j<k} A[j][k] dx_j ^ dx_k``, from
+    the chart differentials dl_e = sum_j coeffs[e][j] dx_j."""
+    d = cell.dim
+    m = [[Fraction(0)] * d for _ in range(d)]
+    for (a, b), c in form.pairs:
+        ca, cb = cell.edge_charts[a][0], cell.edge_charts[b][0]
+        for j in range(d):
+            for k in range(d):
+                m[j][k] += c * (ca[j] * cb[k] - ca[k] * cb[j])
+    return m
+
+
+def _matrix_sum(mats) -> list[list[Fraction]]:
+    """Entrywise sum of equally sized matrices."""
+    return [[sum(xs, Fraction(0)) for xs in zip(*rows)] for rows in zip(*mats)]
+
+
 def omega_on_chart(form: OmegaForm, cell: CellPolytope) -> Form:
     """The 2-form restricted to the cell's free-coordinate chart."""
-    return _chart_form(form, cell)
-
-
-def _chart_form(form: OmegaForm, cell: CellPolytope) -> Form:
-    """Substitute the chart differentials dl_e = sum_j coeffs[e][j] dx_j."""
     d = cell.dim
-    out = Form.zero(d, 2)
-    for (a, b), c in form.pairs:
-        da = Form(d, 1, {(j,): Polynomial.constant(d, cell.edge_charts[a][0][j])
-                         for j in range(d) if cell.edge_charts[a][0][j] != 0})
-        db = Form(d, 1, {(j,): Polynomial.constant(d, cell.edge_charts[b][0][j])
-                         for j in range(d) if cell.edge_charts[b][0][j] != 0})
-        out = out + da.wedge(db) * c
-    return out
+    m = _chart_matrix(form, cell)
+    return Form(d, 2, {(j, k): Polynomial.constant(d, m[j][k])
+                       for j in range(d) for k in range(j + 1, d)
+                       if m[j][k] != 0})
 
 
 def restrict_to_cell(forms: Sequence[OmegaForm], cell: CellPolytope) -> Fraction:
     """Top coefficient of the wedge product of the given 2-forms in the
-    cell's free-coordinate chart."""
+    cell's free-coordinate chart.
+
+    With A_k the chart matrix of the k-th of D forms, the product is the
+    coefficient of t_1 ... t_D in (sum_k t_k omega_k)^D / D! =
+    Pf(sum_k t_k A_k) dx_1 ... dx_2D.  By inclusion-exclusion that
+    multilinear coefficient is the sum, over the subsets S of the factors,
+    of (-1)^(D-|S|) Pf(sum_{k in S} A_k)."""
     if cell.is_empty:
         raise ValueError("empty cell")
     d = cell.dim
-    if 2 * len(forms) != d:
+    D = len(forms)
+    if 2 * D != d:
         raise ValueError(
-            f"product of {len(forms)} two-forms has degree {2 * len(forms)}, "
+            f"product of {D} two-forms has degree {2 * D}, "
             f"cell dimension is {d}")
     if cell.rank_deficient:
         raise ValueError("rank-deficient incidence matrix over these perimeters")
     if not forms:
         return Fraction(1)
-    acc = _chart_form(forms[0], cell)
-    for f in forms[1:]:
-        acc = acc.wedge(_chart_form(f, cell))
-    top = acc.coefficient(tuple(range(d)))
-    return top.terms.get((0,) * d, Fraction(0))
-
-
-def reference_form(g: StableRibbonGraph, perimeters: Sequence) -> list[OmegaForm]:
-    """The forms p_i^2 omega_i whose sum orients the top cells."""
-    out = []
-    p = [Fraction(x) for x in perimeters]
-    for i in range(1, g.num_faces + 1):
-        w = omega(g, i, p)
-        scaled = tuple((pair, c * p[i - 1] ** 2) for pair, c in w.pairs)
-        out.append(OmegaForm(i, w.num_edges, scaled))
-    return out
+    mats = {f: _chart_matrix(f, cell) for f in set(forms)}
+    total = Fraction(0)
+    # the empty subset contributes Pf(0) = 0
+    for mask in range(1, 1 << D):
+        chosen = [mats[f] for k, f in enumerate(forms) if mask >> k & 1]
+        pf = pfaffian(_matrix_sum(chosen))
+        total += -pf if (D - len(chosen)) % 2 else pf
+    return total
 
 
 def orientation_sign(g: StableRibbonGraph, perimeters: Sequence,
                      cell: CellPolytope | None = None) -> int:
-    """Sign of ``(sum_i p_i^2 omega_i)^D / D!`` in the cell chart; +1 for
-    zero-dimensional cells by convention."""
+    """Sign of ``(sum_i p_i^2 omega_i)^D / D! = Pf(sum_i p_i^2 A_i)`` in the
+    cell chart; +1 for zero-dimensional cells by convention."""
     if cell is None:
         cell = cell_polytope(g, perimeters)
     if cell.is_empty:
         raise ValueError("empty cell has no orientation")
-    D = cell.dim // 2
     if cell.dim % 2 != 0:
         raise OrientationError("odd-dimensional cell cannot be oriented here")
-    if D == 0:
+    if cell.dim == 0:
         return 1
-    refs = reference_form(g, perimeters)
-    total = OmegaForm(0, g.num_edges, tuple(
-        sorted(_merge_pairs(refs).items())))
-    coeff = restrict_to_cell([total] * D, cell) / factorial(D)
-    if coeff == 0:
+    if cell.rank_deficient:
+        raise ValueError("rank-deficient incidence matrix over these perimeters")
+    # p_i^2 omega_i is the curvature form at unit perimeters
+    unit = [1] * g.num_faces
+    pf = pfaffian(_matrix_sum([_chart_matrix(omega(g, i, unit), cell)
+                               for i in range(1, g.num_faces + 1)]))
+    if pf == 0:
         raise OrientationError(
             "reference form degenerate on this cell; refusing to guess a sign")
-    return 1 if coeff > 0 else -1
-
-
-def _merge_pairs(forms: Sequence[OmegaForm]) -> dict[tuple[int, int], Fraction]:
-    acc: dict[tuple[int, int], Fraction] = {}
-    for f in forms:
-        for pair, c in f.pairs:
-            acc[pair] = acc.get(pair, Fraction(0)) + c
-    return {k: v for k, v in acc.items() if v != 0}
+    return 1 if pf > 0 else -1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals: elimination, solving,
-nullspaces.  Matrices are lists of lists of Fractions; nothing here is
-meant for large systems."""
+nullspaces, determinants and Pfaffians.  Matrices are lists of lists of
+Fractions; nothing here is meant for large systems."""
 
 from __future__ import annotations
 
@@ -112,4 +112,40 @@ def det(rows: Sequence[Sequence]) -> Fraction:
             if m[i][col] != 0:
                 f = m[i][col] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return out
+
+
+def pfaffian(rows: Sequence[Sequence]) -> Fraction:
+    """Pfaffian of an antisymmetric matrix by skew elimination (exact,
+    cubic in the size; 0 for odd sizes).
+
+    Step k splits off the 2x2 block at ``k, k+1`` with pivot
+    ``a = A[k][k+1]``: Pf(A) = a * Pf(B + (y x^T - x y^T) / a), where x and
+    y are rows k and k+1 past the block and B is the trailing block.  When
+    the pivot is 0, index k+1 is swapped with a later index whose entry in
+    row k is not, which flips the sign."""
+    m = _as_matrix(rows)
+    n = len(m)
+    if n % 2:
+        return Fraction(0)
+    out = Fraction(1)
+    for k in range(0, n, 2):
+        piv = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k + 1:
+            m[k + 1], m[piv] = m[piv], m[k + 1]
+            for row in m:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+            out = -out
+        a = m[k][k + 1]
+        out *= a
+        x, y = m[k], m[k + 1]
+        for i in range(k + 2, n):
+            yi, xi = y[i] / a, x[i] / a
+            if yi == 0 and xi == 0:
+                continue
+            row = m[i]
+            for j in range(k + 2, n):
+                row[j] += yi * x[j] - xi * y[j]
     return out

@@ -128,6 +128,24 @@ class TestFiberIntegral:
         assert phis == sorted(phis)
         assert all(0 <= phi < fib.perimeter for phi in phis)
 
+    def test_distances_against_t_flip_the_sign(self, monkeypatch):
+        # negative control: measuring the distances along t, not against
+        # it, must change the integral, and the alpha suite must notice
+        from ribboncells.suites import run_suite
+
+        def along_t(self):
+            p = self.perimeter
+            lam = self.traversal_lengths()
+            return tuple(sorted(((self.t - q) % p, lam[m])
+                                for m, q in enumerate(self.vertex_positions())))
+
+        rng = random.Random(45)
+        fibers = [random_fiber(rng, w) for w in faces(random_stable_graph(rng))]
+        monkeypatch.setattr(PolygonFiber, "vertex_distances", along_t)
+        assert all(fiber_integral_alpha(fib) == 1 for fib in fibers)
+        (report,) = run_suite("alpha", seed=3, cases=20)
+        assert report.cases == 20 and len(report.failures) == 20
+
 
 class TestPolygonBundle:
     def test_validates_as_a_form(self, theta):

@@ -78,7 +78,10 @@ class TestAutomorphisms:
         rng = random.Random(24)
         for _ in range(25):
             g = random_stable_graph(rng, max_edges=4)
-            assert automorphisms(g).order == len(brute_force_isomorphisms(g, g))
+            aut = automorphisms(g)
+            brute = {tuple(psi) for psi in brute_force_isomorphisms(g, g)}
+            assert aut.order == len(brute)
+            assert set(aut.elements) == brute
 
     def test_generators_fix_structure(self, theta):
         aut = automorphisms(theta)

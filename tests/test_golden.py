@@ -5,7 +5,10 @@ keys, and the property suites replay seeded draws.  A change to either
 must be deliberate, so the bytes are pinned here: the keys and
 representative graphs of the trivalent classes, the sorted canonical
 keys and boundary triples of two cell closures, and the JSON of the first
-draws of the stable-graph sampler for one seed.
+draws of the stable-graph sampler for one seed.  The per-cell ledgers of
+the E <= 6 correlators and the automorphism groups of the closure classes
+are pinned too, so a rewrite of the form algebra or of the automorphism
+search must reproduce them exactly.
 """
 
 import hashlib
@@ -14,7 +17,8 @@ import random
 
 import pytest
 
-from ribboncells.enumeration import enumerate_cells, enumerate_trivalent
+from ribboncells.enumeration import automorphisms, enumerate_cells, enumerate_trivalent
+from ribboncells.intersect import intersection_number
 from ribboncells.permgraph import to_json_dict
 from ribboncells.sampling import random_stable_graph
 
@@ -56,3 +60,52 @@ def test_seeded_draws():
     text = json.dumps(draws, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "1366bf032f52dd6e5cb2ccf0718e85d293c3af099980094d16470c9f4aa1fec0"
+
+
+LEDGER_DIGESTS = {
+    ((0, 0, 0), None):
+        "c3a0a0cbd9fe43aba0642ef47549cdff6d3f9c1b3f6c3de8322cef61f5cb1a50",
+    ((0, 0, 0), "5/2,7,31/3"):
+        "2a57b6749607c54b4ded817de5b3e7beb760c1239a9c3f41e4d1785d4885bad8",
+    ((1,), None):
+        "2fc2044b0cc08f66823cbcc8239dbbef2014bc9011c20ce9463934e05e1bd401",
+    ((1,), "17/3"):
+        "65163aa1ac47e470567b1262db019d9a13537c4a6f63ed01070a4e68cd131267",
+    ((1, 0, 0, 0), None):
+        "6d18042e6d3b94d8689718cc836fdc5482d2b66442c616b7a54f1ba1c57f65b7",
+    ((1, 0, 0, 0), "13/2,9,41/3,8"):
+        "4df47e595842a06791417519da3ee384ae5fdd52a3126313d065a74036898b93",
+    ((1, 1), None):
+        "ec27c08cb8b099400a80458faf2eb878fdb1466b22c6090accda2ae39ff18138",
+    ((1, 1), "19/2,23/3"):
+        "163cd2b339eb88dae8496820deab56dec2009d79c5c9cc0830d3c463564240ee",
+    ((2, 0), None):
+        "c62a59c5c68e0906ddc63553e39c47a70f6dcc1fa6f06c6cad429d43ef31990f",
+    ((2, 0), "31/4,11"):
+        "9e2551e29942f5ee5beb1131e03ab093373304e3886a182977a7ea2115c5d71e",
+}
+
+
+@pytest.mark.parametrize("exponents, perimeters", sorted(LEDGER_DIGESTS, key=repr))
+def test_cell_ledgers(exponents, perimeters):
+    genus = (sum(exponents) - len(exponents) + 3) // 3
+    p = perimeters.split(",") if perimeters else None
+    h = hashlib.sha256()
+    for c in intersection_number(genus, exponents, p).cells:
+        h.update(repr((c.key.hex(), c.aut_order, c.empty, c.orientation,
+                       str(c.coefficient), str(c.chart_volume),
+                       str(c.contribution))).encode() + b"\n")
+    assert h.hexdigest() == LEDGER_DIGESTS[exponents, perimeters]
+
+
+@pytest.mark.parametrize("g, n, digest", [
+    (0, 4, "4fc3567dd594f9f61139f468a5d46aeac5f5b17d2f37d436375c4b7a4f085871"),
+    (1, 2, "ecbc7d7e3705284121e3da1e4ef842a52000a078ac37ab14163657a90bae3745"),
+])
+def test_closure_automorphisms(g, n, digest):
+    summary = enumerate_cells(g, n)
+    h = hashlib.sha256()
+    for key in sorted(summary.classes):
+        elements = automorphisms(summary.classes[key].graph).elements
+        h.update(repr(elements).encode() + b"\n")
+    assert h.hexdigest() == digest

@@ -1,0 +1,65 @@
+import random
+from fractions import Fraction as F
+
+from ribboncells.linalg import det, pfaffian
+
+
+def random_antisymmetric(rng, n):
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # some zero entries, so the pivot search is exercised too
+            x = F(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.7 else F(0)
+            m[i][j], m[j][i] = x, -x
+    return m
+
+
+def symplectic(n):
+    m = [[F(0)] * (2 * n) for _ in range(2 * n)]
+    for k in range(n):
+        m[2 * k][2 * k + 1], m[2 * k + 1][2 * k] = F(1), F(-1)
+    return m
+
+
+class TestPfaffian:
+    def test_square_is_determinant(self):
+        rng = random.Random(61)
+        for n in range(9):
+            for _ in range(12):
+                m = random_antisymmetric(rng, n)
+                assert pfaffian(m) ** 2 == det(m)
+
+    def test_odd_sizes_vanish(self):
+        rng = random.Random(62)
+        for n in (1, 3, 5, 7):
+            assert pfaffian(random_antisymmetric(rng, n)) == 0
+
+    def test_empty_matrix(self):
+        assert pfaffian([]) == 1
+
+    def test_standard_symplectic_form(self):
+        for n in range(1, 5):
+            assert pfaffian(symplectic(n)) == 1
+
+    def test_block_diagonal_is_product(self):
+        rng = random.Random(63)
+        a, b = random_antisymmetric(rng, 4), random_antisymmetric(rng, 6)
+        m = [row + [F(0)] * 6 for row in a] + [[F(0)] * 4 + row for row in b]
+        assert pfaffian(m) == pfaffian(a) * pfaffian(b)
+
+    def test_zero_first_pivot(self):
+        # A[0][1] = 0: Pf = a01 a23 - a02 a13 + a03 a12 = -a02 a13 + a03 a12
+        a02, a03, a12, a13, a23 = F(2), F(3, 2), F(-5), F(7), F(11)
+        m = [[0, 0, a02, a03],
+             [0, 0, a12, a13],
+             [-a02, -a12, 0, a23],
+             [-a03, -a13, -a23, 0]]
+        assert pfaffian(m) == -a02 * a13 + a03 * a12
+        # the swap still finds the one pivot in row 0 at the last index
+        assert pfaffian([[0, 0, 0, 1], [0, 0, 1, 0],
+                         [0, -1, 0, 0], [-1, 0, 0, 0]]) == 1
+
+    def test_zero_row_vanishes(self):
+        m = symplectic(2)
+        m[0][1] = m[1][0] = F(0)
+        assert pfaffian(m) == 0
