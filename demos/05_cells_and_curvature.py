@@ -11,7 +11,8 @@ from fractions import Fraction
 from ribboncells.cells import (PolygonFiber, cell_polytope,
                                fiber_integral_alpha, polygon_bundle)
 from ribboncells.enumeration import enumerate_trivalent
-from ribboncells.intersect import omega, omega_on_chart
+from ribboncells.intersect import omega
+from ribboncells.suites import omega_on_chart
 from ribboncells.permgraph import faces
 from ribboncells.polyform import validate_form, volume
 from ribboncells.polyform.bundles import basic_descent, fiber_chain

@@ -4,7 +4,9 @@ For a graph class G with incidence matrix M (multiplicity of each edge in
 each face), the cell over a perimeter vector p is the solution set
 ``{l > 0 : M l = p}``, carried here in an exact chart: solve the linear
 system once, keep the free edge coordinates, and express every edge length
-as an affine function of the chart.
+as an affine function of the chart.  What a cell contributes, and whether
+it is empty, is decided by one pass over the bases of M
+(:func:`basis_volume`).
 
 Each face of G also carries its polygon bundle: the boundary polygon with
 a distinguished point at arc-length coordinate t.  The connection 1-form
@@ -20,12 +22,16 @@ exterior derivative descends to the cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import factorial, lcm
 from typing import Sequence
 
 from .enumeration import canonical_key
-from .linalg import solve_affine
+from .linalg import det, row_reduce, solve_affine
 from .permgraph import FaceWord, StableRibbonGraph, faces
 from .polyform import (AffineMap, Form, FormOnComplex, Gluing, HalfSpace,
                        Morphism, MorphismMap, Polynomial, Polytope,
@@ -39,7 +45,10 @@ class CellPolytope:
 
     ``edge_charts[e]`` is ``(coeffs, const)`` with
     ``l_e(x) = coeffs . x + const`` over the free coordinates; empty cells
-    keep their chart data but have ``polytope = None``.
+    keep their chart data but have ``polytope = None``.  ``chart_volume``
+    is the :func:`basis_volume` of the cell at ``p + (eps, eps^2, ...)``;
+    it is what the cell contributes to an integral, and it can be non-zero
+    on an empty cell whose point the perturbed perimeters hold.
     """
 
     graph: StableRibbonGraph
@@ -49,6 +58,7 @@ class CellPolytope:
     edge_charts: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     polytope: Polytope | None
     rank: int
+    chart_volume: Fraction
 
     @property
     def dim(self) -> int:
@@ -96,10 +106,13 @@ def incidence_matrix(g: StableRibbonGraph) -> tuple[tuple[int, ...], ...]:
 def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     """Exact chart and H-description of ``{l > 0 : M l = p}``.
 
-    Emptiness is decided exactly: the closure must have vertices and some
-    point of it must be strictly positive in every edge.  A single point
-    on a wall (some ``l_e = 0``) is empty here; :func:`holds_wall_point`
-    decides which top cell counts it.
+    Emptiness at p is exact: the cell is empty when ``M l = p`` is
+    inconsistent, when its :func:`basis_volume` is 0 (the closure is void
+    or lower-dimensional), or when some edge length is a constant ``<= 0``
+    on the whole chart; otherwise the closure is full-dimensional and its
+    interior is positive in every edge.  So a single point on a wall (some
+    ``l_e = 0``) is empty here even when the perturbed perimeters hold it
+    and its chart volume is 1.
     """
     g.require_valid()
     p = [Fraction(x) for x in perimeters]
@@ -110,42 +123,94 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     M = incidence_matrix(g)
     E = g.num_edges
     sol = solve_affine([list(r) for r in M], p)
-    rank = E if sol is None else E - len(sol[1])
     if sol is None:
-        return CellPolytope(g, tuple(p), M, (), (), None, rank)
+        return CellPolytope(g, tuple(p), M, (), (), None, E, Fraction(0))
     particular, basis, free = sol
+    rank = E - len(free)
     charts = tuple(
         (tuple(b[e] for b in basis), particular[e]) for e in range(E))
-    halfspaces = tuple(
-        HalfSpace(coeffs, const, strict=True) for coeffs, const in charts)
-    poly = Polytope(len(free), halfspaces)
-    nonempty = not poly.is_empty_interior()
-    return CellPolytope(g, tuple(p), M, tuple(free), charts,
-                        poly if nonempty else None, rank)
+    # a consistent system keeps its solutions on a maximal independent
+    # set of rows, which the pass needs
+    rows = range(len(M)) if rank == len(M) else row_reduce(list(zip(*M)))[2]
+    vol = basis_volume([M[i] for i in rows], [p[i] for i in rows],
+                       [e for e in range(E) if e not in free])
+    empty = vol == 0 or any(
+        const <= 0 and not any(coeffs) for coeffs, const in charts)
+    poly = None if empty else Polytope(len(free), tuple(
+        HalfSpace(coeffs, const, strict=True) for coeffs, const in charts))
+    return CellPolytope(g, tuple(p), M, tuple(free), charts, poly, rank, vol)
 
 
-def holds_wall_point(cell: CellPolytope) -> bool:
-    """Whether an empty zero-dimensional cell, whose point has some
-    ``l_e = 0`` and none negative, holds that point at perimeters
-    ``p + (eps, eps^2, ...)``.  Each tied length takes the sign of its
-    first non-zero response to the unit perimeter directions (simulation
-    of simplicity, Edelsbrunner-Muecke 1990), so exactly one of the cells
-    meeting at a wall counts the point."""
-    consts = [const for _, const in cell.edge_charts]
-    if not cell.is_empty or cell.dim or not consts or min(consts) < 0:
-        return False
-    tied = {e for e, const in enumerate(consts) if const == 0}
-    n = len(cell.incidence)
-    for i in range(n):
-        sol = solve_affine(cell.incidence, [int(j == i) for j in range(n)])
-        if sol is None:  # the perturbed perimeters leave the image of M
-            return False
-        if any(sol[0][e] < 0 for e in tied):
-            return False
-        tied = {e for e in tied if sol[0][e] == 0}
-        if not tied:
-            return True
-    return False
+def basis_volume(rows: Sequence[Sequence[int]], perimeters: Sequence,
+                 pivots: Sequence[int]) -> Fraction:
+    r"""Volume of ``{l >= 0 : M l = p}`` in the chart of the free edges,
+    from the feasible bases of ``M`` at ``p + (eps, eps^2, ...)``.
+
+    ``rows`` are linearly independent rows of M with their perimeters, and
+    ``pivots`` are the chart's basic columns (the complement of its free
+    edges).  A basis B (|B| = n columns with ``det M_B != 0``) is feasible
+    when every ``l_j = (M_B^{-1} (p + eps))_j`` is lexicographically
+    positive: by its sign at p, and on a tie by its first non-zero response
+    to the unit perimeter directions in row order (simulation of
+    simplicity, Edelsbrunner-Muecke 1990).  Every feasible basis is then a
+    simple vertex, and Lawrence's signed vertex formula (Math. Comp. 57,
+    1991) in the nonbasic coordinates of each vertex gives the volume
+
+        sum_B (w.l_B)^d |det M_P| / (d! |det M_B| prod_{k notin B} (-r_k))
+
+    with d = E - n, the reduced costs ``r_k = w_k - w_B M_B^{-1} M_k`` of
+    a weight w, and ``|det M_P| / |det M_B|`` the Jacobian from the
+    nonbasic to the chart coordinates.  Each term is taken at eps = 0, so
+    by continuity the sum is the exact volume at p.  It is 1 for a
+    zero-dimensional cell whose point is held and 0 when no basis is
+    feasible; in every other case it is the volume of the closure at p.
+
+    Everything runs on integers: p is scaled by the least common multiple
+    L of its denominators (the volume scales by L^d), and with
+    ``D = det M_B`` each quotient is a Cramer ratio of integer
+    determinants, ``l_j = det(M_B[col j <- p]) / D`` and
+    ``w_B M_B^{-1} = y / D`` with ``y_i = det(M_B[row i <- w_B])``.
+    """
+    n, E = len(rows), len(rows[0])
+    d = E - n
+    scale = lcm(*(Fraction(x).denominator for x in perimeters))
+    P = [int(x * scale) for x in perimeters]
+    # w_e = K^e is generic: r_k D is w.z for the integer vector z with
+    # z_k = D, z_B = -adj(M_B) M_k, whose entries are n x n minors of
+    # columns of M.  A column of M has entries >= 0 summing to at most 2,
+    # so by Hadamard every minor is at most 2^n < K in size, and
+    # sum_e z_e K^e = 0 forces z = 0, which z_k = D != 0 rules out.
+    K = 2 ** n + 1
+    w = [K ** e for e in range(E)]
+    total = Fraction(0)
+    for B in combinations(range(E), n):
+        MB = [[row[j] for j in B] for row in rows]
+        D = _int_det(MB)
+        if D and all(_lex_positive(MB, j, P, D) for j in range(n)):
+            wB = [w[j] for j in B]
+            y = [_int_det(MB[:i] + [wB] + MB[i + 1:]) for i in range(n)]
+            den = abs(D)
+            for k in range(E):
+                if k not in B:
+                    den *= sum(yi * row[k] for yi, row in zip(y, rows)) - w[k] * D
+            total += Fraction(sum(yi * x for yi, x in zip(y, P)) ** d, den)
+    chart = abs(_int_det([[row[j] for j in pivots] for row in rows]))
+    return total * chart / (factorial(d) * scale ** d)
+
+
+def _int_det(m: list[list[int]]) -> int:
+    return det(m).numerator
+
+
+def _lex_positive(MB: list[list[int]], j: int, P: list[int], D: int) -> bool:
+    """Whether ``(M_B^{-1} (P + eps))_j > 0`` for small eps: the first
+    non-zero Cramer numerator ``det(M_B[col j <- v])`` over
+    ``v = P, e_0, e_1, ...`` has the sign of D.  The numerators over the
+    unit vectors are row j of the invertible adj(M_B), so one is non-zero."""
+    nums = (_int_det([row[:j] + [P[r] if i < 0 else int(r == i)] + row[j + 1:]
+                      for r, row in enumerate(MB)])
+            for i in range(-1, len(MB)))
+    return (next(x for x in nums if x) > 0) == (D > 0)
 
 
 @dataclass(frozen=True)
@@ -177,7 +242,7 @@ class PolygonFiber:
     def degree(self) -> int:
         return len(self.side_lengths)
 
-    @property
+    @cached_property
     def perimeter(self) -> Fraction:
         return sum(self.side_lengths, Fraction(0))
 
@@ -186,23 +251,30 @@ class PolygonFiber:
         face word)."""
         return tuple(reversed(self.side_lengths))
 
-    def vertex_positions(self) -> tuple[Fraction, ...]:
-        """t-coordinates of the polygon vertices, starting at 0."""
-        lam = self.traversal_lengths()
+    @cached_property
+    def _positions(self) -> tuple[Fraction, ...]:
         out = [Fraction(0)]
-        for x in lam[:-1]:
+        for x in self.traversal_lengths()[:-1]:
             out.append(out[-1] + x)
         return tuple(out)
 
-    def vertex_distances(self) -> tuple[tuple[Fraction, Fraction], ...]:
+    def vertex_positions(self) -> tuple[Fraction, ...]:
+        """t-coordinates of the polygon vertices, starting at 0."""
+        return self._positions
+
+    def vertex_distances(self, t: Fraction | None = None
+                         ) -> tuple[tuple[Fraction, Fraction], ...]:
         """Sorted pairs (phi_i, following side length) as seen from the
-        distinguished point."""
+        distinguished point, or from the point at ``t`` when given.  The
+        vertex positions increase from 0, so in sorted order the distances
+        start at the first vertex at or past the point and wrap around."""
         p = self.perimeter
-        lam = self.traversal_lengths()
-        qs = self.vertex_positions()
-        pairs = [((q - self.t) % p, lam[m]) for m, q in enumerate(qs)]
-        pairs.sort()
-        return tuple(pairs)
+        t = (self.t if t is None else t) % p
+        qs, lam = self._positions, self.traversal_lengths()
+        i = bisect_left(qs, t)
+        wrapped = t - p
+        return tuple([(q - t, x) for q, x in zip(qs[i:], lam[i:])]
+                     + [(q - wrapped, x) for q, x in zip(qs[:i], lam[:i])])
 
 
 def fiber_integral_alpha(fiber: PolygonFiber) -> Fraction:
@@ -213,15 +285,15 @@ def fiber_integral_alpha(fiber: PolygonFiber) -> Fraction:
     fixed and each distance phi_j is affine in t, so its rate is read off
     :meth:`PolygonFiber.vertex_distances` at two points inside the arc."""
     p = fiber.perimeter
-    qs = list(fiber.vertex_positions()) + [p]
+    qs = fiber.vertex_positions() + (p,)
     total = Fraction(0)
     for lo, hi in zip(qs, qs[1:]):
         # the t-component of alpha is sum_j lambda_j phi_j' / p^2; with t1
         # and t2 at a quarter and three quarters of the arc, its integral
         # over the arc is 2 sum_j lambda_j (phi_j(t2) - phi_j(t1)) / p^2
         quarter = (hi - lo) / 4
-        at1 = replace(fiber, t=lo + quarter).vertex_distances()
-        at2 = replace(fiber, t=hi - quarter).vertex_distances()
+        at1 = fiber.vertex_distances(lo + quarter)
+        at2 = fiber.vertex_distances(hi - quarter)
         total += sum((lam * (phi2 - phi1) for (phi1, lam), (phi2, _)
                       in zip(at1, at2)), Fraction(0))
     return 2 * total / p ** 2

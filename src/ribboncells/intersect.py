@@ -10,7 +10,10 @@ terms).  Restricted to a top cell over fixed perimeters, the product
 ``omega_1^{d_1} ... omega_n^{d_n}`` is a constant multiple of the chart
 volume form; summing ``sign * coefficient * volume / |Aut|`` over all
 trivalent classes yields the intersection number, independent of the
-perimeters chosen.
+perimeters chosen.  The volume is the cell's ``chart_volume``, taken at
+``p + (eps, eps^2, ...)`` so that on a wall exactly one of the cells
+meeting there counts each point; no vertex enumeration or triangulation
+is involved.
 
 Every omega_i is constant, so in the 2D-dimensional chart it is an
 antisymmetric matrix A_i, and (sum_i t_i omega_i)^D / D! =
@@ -30,11 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cells import CellPolytope, cell_polytope, holds_wall_point
+from .cells import CellPolytope, cell_polytope
 from .enumeration import GraphClass, automorphisms, enumerate_trivalent
 from .linalg import pfaffian
 from .permgraph import StableRibbonGraph, faces
-from .polyform import Form, Polynomial, volume
 
 
 class QueryError(ValueError):
@@ -81,7 +83,7 @@ def omega(g: StableRibbonGraph, face_label: int, perimeters: Sequence,
     return OmegaForm(face_label=face_label, num_edges=g.num_edges, pairs=pairs)
 
 
-def _chart_matrix(form: OmegaForm, cell: CellPolytope) -> list[list[Fraction]]:
+def chart_matrix(form: OmegaForm, cell: CellPolytope) -> list[list[Fraction]]:
     """The antisymmetric d x d matrix A of the 2-form in the cell's
     free-coordinate chart, ``form = sum_{j<k} A[j][k] dx_j ^ dx_k``, from
     the chart differentials dl_e = sum_j coeffs[e][j] dx_j."""
@@ -100,15 +102,6 @@ def _matrix_sum(mats) -> list[list[Fraction]]:
     return [[sum(xs, Fraction(0)) for xs in zip(*rows)] for rows in zip(*mats)]
 
 
-def omega_on_chart(form: OmegaForm, cell: CellPolytope) -> Form:
-    """The 2-form restricted to the cell's free-coordinate chart."""
-    d = cell.dim
-    m = _chart_matrix(form, cell)
-    return Form(d, 2, {(j, k): Polynomial.constant(d, m[j][k])
-                       for j in range(d) for k in range(j + 1, d)
-                       if m[j][k] != 0})
-
-
 def restrict_to_cell(forms: Sequence[OmegaForm], cell: CellPolytope) -> Fraction:
     """Top coefficient of the wedge product of the given 2-forms in the
     cell's free-coordinate chart.
@@ -118,8 +111,8 @@ def restrict_to_cell(forms: Sequence[OmegaForm], cell: CellPolytope) -> Fraction
     Pf(sum_k t_k A_k) dx_1 ... dx_2D.  By inclusion-exclusion that
     multilinear coefficient is the sum, over the subsets S of the factors,
     of (-1)^(D-|S|) Pf(sum_{k in S} A_k)."""
-    if cell.is_empty:
-        raise ValueError("empty cell")
+    if not cell.chart_volume:
+        raise ValueError("cell is empty at p + (eps, eps^2, ...)")
     d = cell.dim
     D = len(forms)
     if 2 * D != d:
@@ -130,7 +123,7 @@ def restrict_to_cell(forms: Sequence[OmegaForm], cell: CellPolytope) -> Fraction
         raise ValueError("rank-deficient incidence matrix over these perimeters")
     if not forms:
         return Fraction(1)
-    mats = {f: _chart_matrix(f, cell) for f in set(forms)}
+    mats = {f: chart_matrix(f, cell) for f in set(forms)}
     total = Fraction(0)
     # the empty subset contributes Pf(0) = 0
     for mask in range(1, 1 << D):
@@ -146,8 +139,8 @@ def orientation_sign(g: StableRibbonGraph, perimeters: Sequence,
     cell chart; +1 for zero-dimensional cells by convention."""
     if cell is None:
         cell = cell_polytope(g, perimeters)
-    if cell.is_empty:
-        raise ValueError("empty cell has no orientation")
+    if not cell.chart_volume:
+        raise ValueError("a cell empty at p + (eps, eps^2, ...) has no orientation")
     if cell.dim % 2 != 0:
         raise OrientationError("odd-dimensional cell cannot be oriented here")
     if cell.dim == 0:
@@ -156,7 +149,7 @@ def orientation_sign(g: StableRibbonGraph, perimeters: Sequence,
         raise ValueError("rank-deficient incidence matrix over these perimeters")
     # p_i^2 omega_i is the curvature form at unit perimeters
     unit = [1] * g.num_faces
-    pf = pfaffian(_matrix_sum([_chart_matrix(omega(g, i, unit), cell)
+    pf = pfaffian(_matrix_sum([chart_matrix(omega(g, i, unit), cell)
                                for i in range(1, g.num_faces + 1)]))
     if pf == 0:
         raise OrientationError(
@@ -227,15 +220,15 @@ def _trivalent_classes(genus: int, n: int) -> tuple[GraphClass, ...]:
 
 
 def integrate_cell(cls: GraphClass, query: IntersectionQuery) -> CellContribution:
-    """Exact contribution of one trivalent class to the query."""
+    """Exact contribution of one trivalent class to the query.  The chart
+    volume is the cell's at ``p + (eps, eps^2, ...)``, so on a wall exactly
+    one of the cells meeting there counts each point; a cell of volume 0
+    is reported empty."""
     g = cls.graph
     cell = cell_polytope(g, query.perimeters)
-    if cell.is_empty:
-        aut = automorphisms(g).order
-        if holds_wall_point(cell):
-            # a point integrates the empty product, with volume 1
-            return CellContribution(cls.key, aut, False, 1, Fraction(1),
-                                    Fraction(1), Fraction(1, aut))
+    aut = automorphisms(g).order
+    vol = cell.chart_volume
+    if vol == 0:
         return CellContribution(cls.key, aut, True, 1,
                                 Fraction(0), Fraction(0), Fraction(0))
     form_list = []
@@ -243,8 +236,6 @@ def integrate_cell(cls: GraphClass, query: IntersectionQuery) -> CellContributio
         form_list.extend([omega(g, i, query.perimeters)] * d_i)
     sign = orientation_sign(g, query.perimeters, cell)
     coeff = restrict_to_cell(form_list, cell)
-    vol = volume(cell.polytope)
-    aut = automorphisms(g).order
     contribution = sign * coeff * vol / aut
     return CellContribution(cls.key, aut, False, sign, coeff, vol, contribution)
 

@@ -5,6 +5,7 @@ Fractions; nothing here is meant for large systems."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -95,24 +96,39 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free-ish elimination (exact)."""
-    m = _as_matrix(rows)
+    """Determinant by fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968).  Each row is scaled to integers by the least common multiple of
+    its denominators, the integer matrix is eliminated with exact integer
+    divisions, and the product of the row scales is divided back out."""
+    m = []
+    scale = 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            continue
+        xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        k = lcm(*(x.denominator for x in xs))
+        m.append([x.numerator * (k // x.denominator) for x in xs])
+        scale *= k
     n = len(m)
-    out = Fraction(1)
+    sign, prev = 1, 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            out = -out
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return out
+            sign = -sign
+        top = m[col]
+        a = top[col]
+        # every entry of the trailing block is a minor of the input, so
+        # the division by the previous pivot is exact
+        for row in m[col + 1:]:
+            b = row[col]
+            for j in range(col + 1, n):
+                row[j] = (a * row[j] - b * top[j]) // prev
+        prev = a
+    return Fraction(sign * prev, scale)
 
 
 def pfaffian(rows: Sequence[Sequence]) -> Fraction:

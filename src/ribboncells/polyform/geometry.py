@@ -133,9 +133,6 @@ class Polytope:
                 return False
         return True
 
-    def strictly_contains(self, x: Sequence) -> bool:
-        return all(h.value(x) > 0 for h in self.halfspaces)
-
     def vertices(self) -> list[tuple[Fraction, ...]]:
         """Vertices of the closure, by exhausting dim-subsets of tight
         constraints; exact and quadratic-ish in the constraint count."""
@@ -176,15 +173,6 @@ class Polytope:
                                for row in rows):
                             return False
         return True
-
-    def is_empty_interior(self) -> bool:
-        """True when no point satisfies every constraint strictly."""
-        vs = self.vertices()
-        if not vs:
-            return True
-        d = self.dim
-        centroid = [sum((v[i] for v in vs), Fraction(0)) / len(vs) for i in range(d)]
-        return not self.strictly_contains(centroid)
 
 
 def triangulate(poly: Polytope) -> list[tuple[tuple[Fraction, ...], ...]]:

@@ -18,7 +18,8 @@ from test_model0 import cross_ratio, rand_config, rand_mobius
 from ribboncells.cells import PolygonFiber, cell_polytope, fiber_integral_alpha, polygon_bundle
 from ribboncells.cli import main as cli_main
 from ribboncells.enumeration import canonical_key, enumerate_cells
-from ribboncells.intersect import (intersection_number, omega, omega_on_chart)
+from ribboncells.intersect import intersection_number, omega
+from ribboncells.suites import omega_on_chart
 from ribboncells.model0 import full_map, full_maps_agree, mobius_apply
 from ribboncells.permgraph import faces, genus, perimeters, to_json_dict
 from ribboncells.polyform import (Form, Polynomial, Polytope, cone_homotopy,

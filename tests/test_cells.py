@@ -7,8 +7,10 @@ from ribboncells.cells import (PolygonFiber, boundary_cells, cell_polytope,
                                fiber_integral_alpha, incidence_matrix,
                                polygon_bundle, scaled_fiber)
 from ribboncells.enumeration import enumerate_cells, enumerate_trivalent
+from ribboncells.linalg import rank, solve_affine
 from ribboncells.permgraph import faces, perimeters
-from ribboncells.polyform import integrate, validate_form
+from ribboncells.polyform import (HalfSpace, Polytope, integrate,
+                                  validate_form, volume)
 from ribboncells.polyform.bundles import basic_descent, fiber_chain
 from ribboncells.sampling import random_stable_graph
 
@@ -74,6 +76,112 @@ class TestCellPolytope:
             assert perimeters(c.graph, cell.lengths_at(x)) == p
 
 
+#: Perimeter vectors on walls of the (0,4) and (1,2) cells, as in
+#: ``test_intersect.TestWallPerimeters``.
+WALLS = {(0, 4): [(5, 5, 7, 11), (3, 5, 8, 13), (3, 11, 7, 7), (2, 3, 4, 9),
+                  (1, 1, 2, 2), (1, 1, 1, 1)],
+         (1, 2): [(5, 5), (3, 6), (6, 3), (2, 6), (1, 1)]}
+
+
+def _reference_empty(graph, p):
+    """Emptiness of ``{l > 0 : M l = p}`` by vertex enumeration: the
+    closure must have vertices and their centroid, which lies in the
+    relative interior of the closure, must be positive in every edge."""
+    sol = solve_affine(incidence_matrix(graph), p)
+    if sol is None:
+        return True
+    particular, basis, free = sol
+    poly = Polytope(len(free), tuple(
+        HalfSpace(tuple(b[e] for b in basis), particular[e], strict=True)
+        for e in range(graph.num_edges)))
+    vs = poly.vertices()
+    if not vs:
+        return True
+    centroid = [sum((v[i] for v in vs), F(0)) / len(vs) for i in range(poly.dim)]
+    return not all(h.value(centroid) > 0 for h in poly.halfspaces)
+
+
+def _has_pinned_nonpositive_edge(cell):
+    return any(const <= 0 and not any(coeffs)
+               for coeffs, const in cell.edge_charts)
+
+
+class TestBasisVolume:
+    """The chart volume of one pass over the feasible bases of M."""
+
+    @pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
+    def test_equals_triangulated_volume(self, g, n):
+        rng = random.Random(71)
+        vectors = [_odd_primes(n)] + WALLS[g, n] + [
+            tuple(F(rng.randint(1, 40), rng.randint(1, 5)) for _ in range(n))
+            for _ in range(2)]
+        checked = 0
+        for p in vectors:
+            for c in enumerate_trivalent(g, n):
+                cell = cell_polytope(c.graph, p)
+                if not cell.is_empty:
+                    assert cell.chart_volume == volume(cell.polytope) > 0
+                    checked += 1
+        assert checked >= 2 * len(vectors)
+
+    def test_theta_simplex(self, theta):
+        # 2 (l0 + l1 + l2) = 12: the triangle l1 + l2 < 6 in the chart
+        assert cell_polytope(theta, [12]).chart_volume == 18
+
+    def test_held_wall_point_has_volume_one(self):
+        # at 3 + 19 = 22 one (0,3) point sits on the wall l_e = 0; exactly
+        # one class holds it at p + eps, though every cell is empty at p
+        cells = [cell_polytope(c.graph, [3, 22, 19])
+                 for c in enumerate_trivalent(0, 3)]
+        assert sorted(c.chart_volume for c in cells) == [0] * (len(cells) - 1) + [1]
+        assert all(c.is_empty for c in cells)
+
+    def test_emptiness_matches_vertex_centroid_reference(self):
+        counts = {"empty": 0, "non-empty": 0, "rank-deficient": 0}
+        for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
+            rng = random.Random(72 + 10 * g + n)
+            # small entries put many vectors on walls
+            seeded = [tuple(rng.randint(1, 6) for _ in range(n))
+                      for _ in range(4)]
+            seeded.append(tuple(F(rng.randint(1, 30), rng.randint(1, 4))
+                                for _ in range(n)))
+            for c in enumerate_cells(g, n).classes.values():
+                unit = perimeters(c.graph, [1] * c.graph.num_edges)
+                for p in seeded + [unit]:
+                    cell = cell_polytope(c.graph, p)
+                    assert cell.is_empty == _reference_empty(c.graph, p), \
+                        (c.key.hex(), p)
+                    counts["empty" if cell.is_empty else "non-empty"] += 1
+                    counts["rank-deficient"] += cell.rank_deficient
+        assert all(counts.values()), counts
+
+    def test_pinned_edge_clause_is_needed(self):
+        # negative control: without the pinned-edge clause, emptiness would
+        # read "inconsistent or volume 0", and that rule is wrong on
+        # closure cells where some l_e is identically 0, such as a (0,4)
+        # closure cell at (4, 3, 2, 1)
+        p = (4, 3, 2, 1)
+        wrong = []
+        for c in enumerate_cells(0, 4).classes.values():
+            cell = cell_polytope(c.graph, p)
+            without_clause = cell.chart_volume == 0
+            if without_clause != _reference_empty(c.graph, p):
+                wrong.append(cell)
+        assert wrong
+        assert all(c.is_empty and c.chart_volume > 0
+                   and _has_pinned_nonpositive_edge(c) for c in wrong)
+
+    @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (0, 4), (1, 2)])
+    def test_trivalent_incidence_has_full_row_rank(self, g, n):
+        """The pass reads every basis as n columns of M, so M needs rank n.
+        For trivalent M it always has: a left null vector y has
+        y_a + y_b = 0 across every edge between faces a and b, and the
+        three corners of a trivalent vertex, in faces a, b and c, then
+        force y_a = -y_b = y_c = -y_a, so y vanishes on every face."""
+        for c in enumerate_trivalent(g, n):
+            assert rank(incidence_matrix(c.graph)) == n
+
+
 def _odd_primes(n):
     out, x = [], 3
     while len(out) < n:
@@ -133,10 +241,10 @@ class TestFiberIntegral:
         # it, must change the integral, and the alpha suite must notice
         from ribboncells.suites import run_suite
 
-        def along_t(self):
+        def along_t(self, t):
             p = self.perimeter
             lam = self.traversal_lengths()
-            return tuple(sorted(((self.t - q) % p, lam[m])
+            return tuple(sorted(((t - q) % p, lam[m])
                                 for m, q in enumerate(self.vertex_positions())))
 
         rng = random.Random(45)

@@ -8,7 +8,9 @@ keys and boundary triples of two cell closures, and the JSON of the first
 draws of the stable-graph sampler for one seed.  The per-cell ledgers of
 the E <= 6 correlators and the automorphism groups of the closure classes
 are pinned too, so a rewrite of the form algebra or of the automorphism
-search must reproduce them exactly.
+search must reproduce them exactly; so are the ledgers at perimeters on
+walls, where the cell that counts a point is picked by the perturbation
+``p + (eps, eps^2, ...)``.
 """
 
 import hashlib
@@ -109,3 +111,56 @@ def test_closure_automorphisms(g, n, digest):
         elements = automorphisms(summary.classes[key].graph).elements
         h.update(repr(elements).encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+#: Exponents whose ledgers are pinned at the wall vectors, by face count.
+WALL_EXPONENTS = {3: [(0, 0, 0)], 4: [(1, 0, 0, 0), (0, 0, 0, 1)],
+                  2: [(2, 0), (1, 1), (0, 2)]}
+
+#: One digest per wall vector, over the ledgers of every exponent tuple of
+#: ``WALL_EXPONENTS`` in order.  The vectors are those of
+#: ``test_intersect.TestWallPerimeters``, plus two orders of the (0,3) sum
+#: wall at which perturbing the faces in the reverse order would pick
+#: another class.
+WALL_LEDGER_DIGESTS = {
+    (3, 22, 19):
+        "c3a0a0cbd9fe43aba0642ef47549cdff6d3f9c1b3f6c3de8322cef61f5cb1a50",
+    (3, 19, 22):
+        "c3a0a0cbd9fe43aba0642ef47549cdff6d3f9c1b3f6c3de8322cef61f5cb1a50",
+    (22, 3, 19):
+        "e720de801fa55041a4e1672b04f92860ec127d8cd283694877079c7bafa71302",
+    (5, 5, 7, 11):
+        "2e945e905083cf1fa372d571e8c0c70e6290243681c015e8fa4e346419c31491",
+    (3, 5, 8, 13):
+        "cffca7465553537df20383c4adba5cba2afac3b770310b7e3b4662952ead99d4",
+    (3, 11, 7, 7):
+        "c2213672ea30459231eef42d0d626e56e8a70d9e0d3fa71cf75bd680d9729a0f",
+    (2, 3, 4, 9):
+        "c37ab7020fac51c1c5c82ef49ade96207d0c1e8ecde81206aa56bc2a898188db",
+    (1, 1, 2, 2):
+        "417cca2d4c1e23e36ed5bc15d6a080e978902bc0006d737f09352e982fcb116f",
+    (1, 1, 1, 1):
+        "393be5646d4f02aea450b8ddcfa08bd467bda0d9a723c670928c12f530709919",
+    (5, 5):
+        "125bea4e9dfdc378129d68dbbf801ac34ee9a4ca48cc044873d253254b45fa28",
+    (3, 6):
+        "c9c6ee2529c838853cc2138f5e1b20e1d790d4c3dad1f5db654b2c62bc05c2e3",
+    (6, 3):
+        "54326f0bbad6c8d7183a860706e3c1b6a9c74e4d2203bfc62fab1368de73fb86",
+    (2, 6):
+        "47340b99307aa9f766661b99f078b7059401dc9b5c91877ca45886ed271ad4b1",
+    (1, 1):
+        "d1e285997e5e4596fa9bb67455861bcb5cbdfc218f2ffd87b0667a9c487afb9c",
+}
+
+
+@pytest.mark.parametrize("perimeters", sorted(WALL_LEDGER_DIGESTS))
+def test_wall_ledgers(perimeters):
+    h = hashlib.sha256()
+    for exponents in WALL_EXPONENTS[len(perimeters)]:
+        genus = (sum(exponents) - len(exponents) + 3) // 3
+        for c in intersection_number(genus, exponents, perimeters).cells:
+            h.update(repr((c.key.hex(), c.aut_order, c.empty, c.orientation,
+                           str(c.coefficient), str(c.chart_volume),
+                           str(c.contribution))).encode() + b"\n")
+    assert h.hexdigest() == WALL_LEDGER_DIGESTS[perimeters]

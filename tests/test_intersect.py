@@ -105,7 +105,7 @@ class TestOmega:
             assert restrict_to_cell([rot], cell) == base
 
     def test_starting_side_independence_04(self):
-        from ribboncells.intersect import omega_on_chart
+        from ribboncells.suites import omega_on_chart
         from ribboncells.permgraph import faces
 
         p = default_perimeters(4)
@@ -195,6 +195,53 @@ class TestWallPerimeters:
     def test_12_walls(self, p):
         for d in ((2, 0), (1, 1), (0, 2)):
             assert intersection_number(1, d, p).value == tau(*d)
+
+
+class TestCellWithoutPolytopeGeometry:
+    """Each cell's volume and wall rule come from one pass over the bases of
+    its incidence matrix, so the intersection path needs no vertex
+    enumeration, boundedness test or triangulation."""
+
+    def test_values_with_polytope_geometry_disabled(self, monkeypatch):
+        import ribboncells.polyform as polyform
+        from ribboncells.polyform import geometry
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("intersection path used polytope geometry")
+
+        monkeypatch.setattr(geometry.Polytope, "vertices", forbidden)
+        monkeypatch.setattr(geometry.Polytope, "is_bounded", forbidden)
+        for module in (geometry, polyform):
+            monkeypatch.setattr(module, "triangulate", forbidden)
+            monkeypatch.setattr(module, "volume", forbidden)
+        for genus, d in [(0, (0, 0, 0)), (1, (1,)), (0, (1, 0, 0, 0)),
+                         (1, (1, 1)), (1, (2, 0))]:
+            assert intersection_number(genus, d).value == tau(*d)
+        assert intersection_number(0, (0, 0, 0), (3, 22, 19)).value == 1
+
+    def test_held_wall_point_counts_once(self):
+        # the held point is empty at p, yet it is integrated: orientation
+        # and coefficient of a zero-dimensional cell are 1
+        q = make_query(0, [0, 0, 0], [3, 22, 19])
+        held = []
+        for c in enumerate_trivalent(0, 3):
+            cell = cell_polytope(c.graph, q.perimeters)
+            assert cell.is_empty
+            if cell.chart_volume:
+                held.append(integrate_cell(c, q))
+        assert len(held) == 1
+        assert (held[0].empty, held[0].orientation, held[0].coefficient,
+                held[0].chart_volume) == (False, 1, 1, 1)
+
+    def test_forms_refuse_cells_empty_at_p_plus_eps(self):
+        p = (3, 22, 19)
+        for c in enumerate_trivalent(0, 3):
+            cell = cell_polytope(c.graph, p)
+            if not cell.chart_volume:
+                with pytest.raises(ValueError):
+                    restrict_to_cell([], cell)
+                with pytest.raises(ValueError):
+                    orientation_sign(c.graph, p, cell)
 
 
 class TestIntersectionNumbers:

@@ -63,3 +63,43 @@ class TestPfaffian:
         m = symplectic(2)
         m[0][1] = m[1][0] = F(0)
         assert pfaffian(m) == 0
+
+
+def cofactor_det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return F(1)
+    return sum((-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:]
+                                                   for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+class TestDet:
+    def test_integer_matrices(self):
+        rng = random.Random(64)
+        for n in range(7):
+            for _ in range(15):
+                # small entries with zeros make pivots vanish and rows swap
+                m = [[rng.choice([0, 0, 1, 2, -1, 3]) for _ in range(n)]
+                     for _ in range(n)]
+                assert det(m) == cofactor_det(m)
+
+    def test_rational_matrices(self):
+        rng = random.Random(65)
+        for n in range(7):
+            for _ in range(15):
+                m = [[F(rng.randint(-9, 9), rng.randint(1, 6))
+                      if rng.random() < 0.7 else F(0) for _ in range(n)]
+                     for _ in range(n)]
+                assert det(m) == cofactor_det(m)
+
+    def test_singular_and_swapped(self):
+        assert det([[1, 2], [2, 4]]) == 0
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        # a rank-two 3 x 3 whose second pivot vanishes after elimination
+        assert det([[1, 1, 1], [1, 1, 2], [2, 2, 3]]) == 0
+
+    def test_mixed_entries(self):
+        assert det([["1/2", 3], [F(2, 3), 4]]) == F(0)
+        assert det([[F(1, 2), 2], [3, F(4, 3)]]) == F(-16, 3)
