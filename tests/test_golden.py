@@ -11,11 +11,20 @@ are pinned too, so a rewrite of the form algebra or of the automorphism
 search must reproduce them exactly; so are the ledgers at perimeters on
 walls, where the cell that counts a point is picked by the perturbation
 ``p + (eps, eps^2, ...)``.
+
+Those digests name the representative graph of each class, so they depend
+on which graph a generator meets first.  The ``*_invariants`` tests pin
+what no choice of representative can change: the sorted class keys, the
+key, ``|Aut|``, emptiness and contribution of every ledger row, and per
+closure the number of edges that contract each parent onto each child
+together with every class's ``|Aut|``.
 """
 
 import hashlib
 import json
 import random
+from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -38,6 +47,17 @@ def test_trivalent_keys_and_representatives(g, n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("g, n, digest", [
+    (0, 3, "2cd150c1827fca8c02c24ae2551c5b30e24bdbae56deacb55d90a50f821b9113"),
+    (1, 1, "787e31d9e0e5789056ea9c7375f7ca74ad4d11a863d1b499446d6e6742a3e556"),
+    (0, 4, "bcf258eef6d8f0d8ce629355f47708d6cc2b9ef5254b1099e3023ad2abe7257f"),
+    (1, 2, "d393d7b9984817b2a92787110f58089f829db48dddb2f15536856eb7f950a180"),
+])
+def test_trivalent_key_invariants(g, n, digest):
+    text = "\n".join(sorted(c.key.hex() for c in enumerate_trivalent(g, n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _closure_digest(g, n):
     summary = enumerate_cells(g, n)
     h = hashlib.sha256()
@@ -54,6 +74,21 @@ def _closure_digest(g, n):
 ])
 def test_closure_keys_and_boundary(g, n, digest, classes, boundary):
     assert _closure_digest(g, n) == (digest, classes, boundary)
+
+
+@pytest.mark.parametrize("g, n, digest", [
+    (0, 4, "1e93aa741e6b974c422a8953cc1756fd3dc98e789509c6525802d6904c26dda0"),
+    (1, 2, "6b653eb26418f9bc1c4e250d9e8410e90ac0c807df2e7867364c60d252ea606e"),
+])
+def test_closure_invariants(g, n, digest):
+    summary = enumerate_cells(g, n)
+    h = hashlib.sha256()
+    for key in sorted(summary.classes):
+        h.update(key + b" %d\n" % automorphisms(summary.classes[key].graph).order)
+    edges = Counter((parent, child) for parent, _, child in summary.boundary)
+    for (parent, child), count in sorted(edges.items()):
+        h.update(parent + b" " + child + b" %d\n" % count)
+    assert h.hexdigest() == digest
 
 
 def test_seeded_draws():
@@ -88,16 +123,69 @@ LEDGER_DIGESTS = {
 }
 
 
+@cache
+def _ledger(exponents, perimeters):
+    genus = (sum(exponents) - len(exponents) + 3) // 3
+    return intersection_number(genus, exponents, perimeters).cells
+
+
+def _ledger_digest(exponent_tuples, perimeters, invariant=False):
+    """Digest of the ledgers of the exponent tuples in order; with
+    ``invariant``, only the fields that do not depend on the edge numbering
+    of the representatives."""
+    h = hashlib.sha256()
+    for exponents in exponent_tuples:
+        for c in _ledger(exponents, perimeters):
+            if invariant:
+                row = (c.key.hex(), c.aut_order, c.empty, str(c.contribution))
+            else:
+                row = (c.key.hex(), c.aut_order, c.empty, c.orientation,
+                       str(c.coefficient), str(c.chart_volume),
+                       str(c.contribution))
+            h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _perimeter_tuple(perimeters):
+    return tuple(perimeters.split(",")) if perimeters else None
+
+
 @pytest.mark.parametrize("exponents, perimeters", sorted(LEDGER_DIGESTS, key=repr))
 def test_cell_ledgers(exponents, perimeters):
-    genus = (sum(exponents) - len(exponents) + 3) // 3
-    p = perimeters.split(",") if perimeters else None
-    h = hashlib.sha256()
-    for c in intersection_number(genus, exponents, p).cells:
-        h.update(repr((c.key.hex(), c.aut_order, c.empty, c.orientation,
-                       str(c.coefficient), str(c.chart_volume),
-                       str(c.contribution))).encode() + b"\n")
-    assert h.hexdigest() == LEDGER_DIGESTS[exponents, perimeters]
+    assert _ledger_digest([exponents], _perimeter_tuple(perimeters)) == \
+        LEDGER_DIGESTS[exponents, perimeters]
+
+
+LEDGER_INVARIANT_DIGESTS = {
+    ((0, 0, 0), None):
+        "3851f315d1a9a0a87ce2982e6e702c3f5a18c70364a5c4c1c289cf64f71a25ee",
+    ((0, 0, 0), "5/2,7,31/3"):
+        "8f428a9f0b8fbc2179ee28155de8fdaf620591a977f81282cf666b0d60141306",
+    ((1,), None):
+        "6bce06f9c8c71f0d1bc7d94d80a64a2f98c40ddd78b5c17cb6dec1db45501b65",
+    ((1,), "17/3"):
+        "6bce06f9c8c71f0d1bc7d94d80a64a2f98c40ddd78b5c17cb6dec1db45501b65",
+    ((1, 0, 0, 0), None):
+        "13e693177fe0d1316ea8bfea12d6fca352fd881635f52e90a2846850fd6e9bf2",
+    ((1, 0, 0, 0), "13/2,9,41/3,8"):
+        "5bb19e969b915af4bbea46b075b645e65237d8383f6a33fa4fb461deaa28319d",
+    ((1, 1), None):
+        "d66e6bcdfc00968ef06cb9ec72e650921219af906c1b5998f7e75f35b47b1415",
+    ((1, 1), "19/2,23/3"):
+        "2fc0ea80f41bab8e2c9c3ccd6a1350b0a8a644152f3d852821784697cc22bc33",
+    ((2, 0), None):
+        "6c1d82ae5cbd08d9e49f2a16c7261dd3e4b1398bc05635b6eb5d9465e890c091",
+    ((2, 0), "31/4,11"):
+        "6c1d82ae5cbd08d9e49f2a16c7261dd3e4b1398bc05635b6eb5d9465e890c091",
+}
+
+
+@pytest.mark.parametrize("exponents, perimeters",
+                         sorted(LEDGER_INVARIANT_DIGESTS, key=repr))
+def test_cell_ledger_invariants(exponents, perimeters):
+    assert _ledger_digest([exponents], _perimeter_tuple(perimeters),
+                          invariant=True) == \
+        LEDGER_INVARIANT_DIGESTS[exponents, perimeters]
 
 
 @pytest.mark.parametrize("g, n, digest", [
@@ -156,11 +244,43 @@ WALL_LEDGER_DIGESTS = {
 
 @pytest.mark.parametrize("perimeters", sorted(WALL_LEDGER_DIGESTS))
 def test_wall_ledgers(perimeters):
-    h = hashlib.sha256()
-    for exponents in WALL_EXPONENTS[len(perimeters)]:
-        genus = (sum(exponents) - len(exponents) + 3) // 3
-        for c in intersection_number(genus, exponents, perimeters).cells:
-            h.update(repr((c.key.hex(), c.aut_order, c.empty, c.orientation,
-                           str(c.coefficient), str(c.chart_volume),
-                           str(c.contribution))).encode() + b"\n")
-    assert h.hexdigest() == WALL_LEDGER_DIGESTS[perimeters]
+    assert _ledger_digest(WALL_EXPONENTS[len(perimeters)], perimeters) == \
+        WALL_LEDGER_DIGESTS[perimeters]
+
+
+WALL_LEDGER_INVARIANT_DIGESTS = {
+    (3, 22, 19):
+        "3851f315d1a9a0a87ce2982e6e702c3f5a18c70364a5c4c1c289cf64f71a25ee",
+    (3, 19, 22):
+        "3851f315d1a9a0a87ce2982e6e702c3f5a18c70364a5c4c1c289cf64f71a25ee",
+    (22, 3, 19):
+        "054e8226c15191bbff3be3c7e987012111ae04b9de9449f37d1e58c90e5248f4",
+    (5, 5, 7, 11):
+        "c26abf91911a01c6355bac9abd8001b01f3a03dbe23fe76be341043efaf488f4",
+    (3, 5, 8, 13):
+        "95798d51bed5b940611503a2d564ae78518893d92d241d4ede2067f75af57f38",
+    (3, 11, 7, 7):
+        "b14d581398bf116e5994ec0b23a031fd78b1608d5c8c1c0c4d06f58473866324",
+    (2, 3, 4, 9):
+        "f505535f51addefad96e4acaabaa18f0ae6c892d5ffad0d93d0f7c38e1b3b752",
+    (1, 1, 2, 2):
+        "9e8298d4714cbad86014a1c09aab8068bb703f0e50cebfe4f260a26e96231bac",
+    (1, 1, 1, 1):
+        "05a721a14af9b45cfa1348e37aadaa2eb3b7ce4272096f40b9c2ea7630b35da9",
+    (5, 5):
+        "ac91270eedbe64fe0d52cfc01a3d85cc07df8dea99539b12cb11a97201dc26c6",
+    (3, 6):
+        "7a983a096a68399760204643ef0f8e408165c97c19e29dc5b3d540d4eddd8317",
+    (6, 3):
+        "10aef81009f70359bcc1918c56b2fd69969e8195a1024d605f4b17ad538e00e9",
+    (2, 6):
+        "1b78efc242f824d8507c0bcd628f372eebdd2e601f6716cd70b6d4f3accc4a6c",
+    (1, 1):
+        "ac91270eedbe64fe0d52cfc01a3d85cc07df8dea99539b12cb11a97201dc26c6",
+}
+
+
+@pytest.mark.parametrize("perimeters", sorted(WALL_LEDGER_INVARIANT_DIGESTS))
+def test_wall_ledger_invariants(perimeters):
+    assert _ledger_digest(WALL_EXPONENTS[len(perimeters)], perimeters,
+                          invariant=True) == WALL_LEDGER_INVARIANT_DIGESTS[perimeters]
