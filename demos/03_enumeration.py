@@ -1,16 +1,17 @@
 """Exhaustive enumeration of graph classes and the cell closure.
 
-Top cells of the complex correspond to trivalent classes; contracting
-edges walks down to the boundary cells.  Canonical keys make isomorphism
-testing (fixing the numbered faces) a string comparison, and automorphism
-orders give the orbifold weights.
+Top cells of the complex correspond to trivalent classes, grown from the
+classes with three fewer edges by edge insertions and tadpoles;
+contracting edges walks down to the boundary cells.  Canonical keys make
+isomorphism testing (fixing the numbered faces) a string comparison, and
+automorphism orders give the orbifold weights.
 """
 
 from fractions import Fraction
 
 from ribboncells import automorphisms, enumerate_cells, enumerate_trivalent
 
-for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2)]:
+for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 5)]:
     classes = enumerate_trivalent(g, n)
     print(f"(g, n) = ({g}, {n}): {len(classes)} trivalent classes, "
           f"E = {classes[0].graph.num_edges}")

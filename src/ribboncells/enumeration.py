@@ -20,20 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles
+from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles, ordinary_graph
 
 
 class SizeGuardError(ValueError):
-    """Enumeration request beyond the exhaustive-sweep size guard."""
+    """Enumeration request beyond the size guard."""
 
 
-#: Largest edge count accepted by the exhaustive trivalent sweep.  The
-#: sweep visits every product of 3-cycles on 2E half-edges whose cycle
-#: through 0 is one of ``_ANCHORED_FIRST_CYCLES``: 6,720 permutations at
-#: E=6 and ~1.3e8 at E=9.  The rooted-code memo makes each visit O(E), but
-#: the count itself still grows factorially, so the guard stops at the
-#: desk-scale boundary.
-MAX_SWEEP_EDGES = 6
+#: Largest edge count accepted by :func:`enumerate_trivalent`.  The E = 12
+#: unlabelled classes still grow in seconds, but the labelling expansion
+#: would then run 720 labelled searches for each of the 191 at (0,6).
+MAX_EDGES = 9
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +59,6 @@ def _relabelled(s0: tuple[int, ...],
         pos[old] = new
     return (tuple(pos[s0[old]] for old in order),
             tuple(pos[old ^ 1] for old in order))
-
-
-def _rooted_code(s0: tuple[int, ...], root: int) -> tuple | None:
-    """The rooted code of a one-cycle-per-vertex structure: ``sigma0`` and
-    the pairing relabelled in discovery order from ``root``, or ``None``
-    if the walk misses a half-edge (``sigma0`` and the pairing are then
-    not transitive).  Two rooted structures have equal codes iff some
-    bijection carries one onto the other, root to root."""
-    order = [root]
-    _discover(s0, order, {root})
-    if len(order) != len(s0):
-        return None
-    return _relabelled(s0, order)
 
 
 def _serialize(g: StableRibbonGraph, order: list[int], labelled: bool) -> tuple:
@@ -242,59 +226,64 @@ class GraphClass:
         return self.graph.num_edges
 
 
-def _products_of_3cycles(n: int, first_cycles=None):
-    """All permutations of range(n) that are products of disjoint 3-cycles,
-    generated by anchoring each new cycle at the smallest free point.
-
-    If ``first_cycles`` is given, the cycle containing 0 is restricted to
-    that list.
-    """
-    perm = [0] * n
-    used = [False] * n
-
-    def rec(count):
-        if count == n:
-            yield tuple(perm)
-            return
-        a = next(i for i in range(n) if not used[i])
-        used[a] = True
-        for b in range(n):
-            if used[b]:
-                continue
-            used[b] = True
-            for c in range(n):
-                if used[c]:
-                    continue
-                used[c] = True
-                perm[a], perm[b], perm[c] = b, c, a
-                yield from rec(count + 3)
-                used[c] = False
-            used[b] = False
-        used[a] = False
-
-    if first_cycles is None:
-        yield from rec(0)
-        return
-    for (a, b, c) in first_cycles:
-        used[a] = used[b] = used[c] = True
-        perm[a], perm[b], perm[c] = b, c, a
-        yield from rec(3)
-        used[a] = used[b] = used[c] = False
+#: Vertex permutations of the unlabelled trivalent classes with E = 3.
+_SEEDS = {(0, 3): ((1, 2, 0, 4, 5, 3), (2, 5, 4, 1, 0, 3)),
+          (1, 1): ((2, 3, 4, 5, 0, 1),)}
 
 
-#: Every trivalent class has a pairing-respecting relabelling in which the
-#: vertex cycle through half-edge 0 takes one of these shapes: three
-#: distinct edges in canonical positions, or a loop on edge 0 with the
-#: partner in either slot.
-_ANCHORED_FIRST_CYCLES = ((0, 2, 4), (0, 1, 2), (0, 2, 1))
+def _subdivide(s0: list[int], h: int, c: int, z: int) -> None:
+    """Put a new vertex ``(h^1, c, z)`` on the edge of ``h``: ``h^1`` moves
+    there, and ``c^1`` takes its place at its old vertex.  The stub ``z``
+    points into the face on one side of the edge; the side is fixed by
+    ``h``, so over all half-edges ``h`` this one cyclic order reaches every
+    side of every edge once (``(h^1, z, c)`` at ``h`` is ``(h, c, z)`` at
+    ``h^1`` up to relabelling)."""
+    k = h ^ 1
+    nxt = s0[k]
+    s0[s0[nxt]] = c ^ 1  # the predecessor of k in its 3-cycle
+    s0[c ^ 1] = nxt
+    s0[k], s0[c], s0[z] = c, z, k
 
 
-def _face_cycles(s0: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of ``sigma2 = sigma0^{-1} sigma1``, on plain arrays."""
-    inv = [0] * len(s0)
-    for h, img in enumerate(s0):
-        inv[img] = h
-    return cycles([inv[h ^ 1] for h in range(len(s0))])
+def _children(s0: tuple[int, ...]):
+    """Every edge insertion and tadpole on the trivalent structure ``s0``
+    with E edges, as vertex permutations with E + 3 edges.
+
+    An insertion is two subdivisions, the second anywhere on the first's
+    result (its new edge included), whose stubs form edge E + 2.  A tadpole
+    is one subdivision whose stub ends at a new vertex carrying the loop
+    E + 1.  Every child is connected and trivalent."""
+    m = len(s0)
+    base = list(s0) + [-1] * 6
+    for h in range(m):
+        one = base.copy()
+        _subdivide(one, h, m, m + 4)
+        tadpole = one.copy()
+        tadpole[m + 5], tadpole[m + 2], tadpole[m + 3] = m + 2, m + 3, m + 5
+        yield tadpole
+        for h2 in range(m + 2):
+            two = one.copy()
+            _subdivide(two, h2, m + 2, m + 5)
+            yield two
+
+
+def _unlabelled_classes(g: int, n: int) -> list[StableRibbonGraph]:
+    """One trivalent graph per unlabelled class at ``(g, n)``, the first
+    met.  Above E = 3 the classes grow from those with E - 3 edges: an
+    insertion inside one face of a ``(g, n-1)`` graph or a tadpole adds a
+    face, and an insertion across two faces of a ``(g-1, n+1)`` graph
+    joins them and adds a handle; no other child has ``n`` faces."""
+    if (g, n) in _SEEDS:
+        return [ordinary_graph(cycles(s0)) for s0 in _SEEDS[g, n]]
+    sources = ([(g, n - 1)] if n > 1 else []) + ([(g - 1, n + 1)] if g > 0 else [])
+    found: dict[bytes, StableRibbonGraph] = {}
+    for source in sources:
+        for parent in _unlabelled_classes(*source):
+            for s0 in _children(parent.sigma0):
+                child = ordinary_graph(cycles(s0))
+                if child.num_faces == n:
+                    found.setdefault(canonical_key(child, labelled=False), child)
+    return list(found.values())
 
 
 def trivalent_edge_count(g: int, n: int) -> int:
@@ -305,46 +294,26 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     """All isomorphism classes of connected trivalent ribbon graphs of
     genus ``g`` with ``n`` labelled faces, complete and duplicate-free.
 
-    The sweep runs over every product of 3-cycles on ``2E`` half-edges,
-    filters by face count and connectivity (with ``E`` fixed by ``(g, n)``,
-    these fix the genus), collapses to unlabelled classes, and then expands
-    each class over the ``n!`` face labellings.
+    The unlabelled classes grow from the three with E = 3 edges by edge
+    insertions and tadpoles, E - 3 edges at a time, and are deduplicated
+    by ``canonical_key(labelled=False)`` (a canonical construction path
+    after McKay, *Isomorph-free exhaustive generation*, 1998); each is then
+    expanded over the ``n!`` face labellings.  Completeness at E <= 9 is
+    tested against Kontsevich's identity.
 
-    Each unlabelled class is canonicalised once, by the permutation that
-    first reaches it; that permutation is its representative.  Its rooted
-    codes from all ``2E`` roots then go into a memo, and a later
-    permutation whose code from root 0 is in the memo belongs to a known
-    class and is skipped after one O(E) walk (isomorph rejection by
-    orbit).  The same walk tests connectivity.
+    The representative of a class is the first candidate met, in parent
+    order and then in ``permutations`` order of its labelling; class files,
+    ledgers and boundary edge indices refer to these representatives, so a
+    labelling by orbits must keep this rule.
     """
     if n < 1 or 2 - 2 * g - n >= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
     E = trivalent_edge_count(g, n)
-    if E <= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}) admits no trivalent graph (E = {E})")
-    if E > MAX_SWEEP_EDGES:
+    if E > MAX_EDGES:
         raise SizeGuardError(
-            f"E = {E} exceeds the exhaustive-sweep guard ({MAX_SWEEP_EDGES}); "
-            f"the sweep would visit too many vertex permutations")
-    nh = 2 * E
-    unlabelled: dict[bytes, StableRibbonGraph] = {}
-    # rooted codes, from every root, of every unlabelled class found so far
-    known: set[tuple] = set()
-    for s0 in _products_of_3cycles(nh, first_cycles=_ANCHORED_FIRST_CYCLES):
-        code = _rooted_code(s0, 0)
-        if code is None or code in known:
-            continue
-        face_cycles = _face_cycles(s0)
-        if len(face_cycles) != n:
-            continue
-        vertices = tuple(Vertex(cycles=(c,)) for c in cycles(s0))
-        labels = {cyc[0]: i + 1 for i, cyc in enumerate(face_cycles)}
-        graph = StableRibbonGraph(HalfEdgeSet(nh), vertices, labels)
-        unlabelled.setdefault(canonical_key(graph, labelled=False), graph)
-        known.update(_rooted_code(s0, root) for root in range(nh))
-
+            f"E = {E} exceeds the enumeration size guard ({MAX_EDGES} edges)")
     classes: dict[bytes, StableRibbonGraph] = {}
-    for graph in unlabelled.values():
+    for graph in _unlabelled_classes(g, n):
         face_reps = [cyc[0] for cyc in graph.sigma2_cycles]
         for labelling in permutations(range(1, n + 1)):
             labels = dict(zip(face_reps, labelling))

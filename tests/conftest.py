@@ -1,11 +1,19 @@
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ribboncells.enumeration import enumerate_trivalent
 from ribboncells.permgraph import HalfEdgeSet, StableRibbonGraph, Vertex
+
+
+@cache
+def trivalent_classes(g, n):
+    """``enumerate_trivalent(g, n)``, computed once per test session."""
+    return enumerate_trivalent(g, n)
 
 
 def make_graph(vertex_data, face_labels=None):

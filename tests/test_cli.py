@@ -99,8 +99,15 @@ class TestEnumerateCmd:
         assert index["count"] == 3
         assert index["boundary"]
 
+    def test_nine_edge_classes(self, tmp_path, capsys):
+        out = tmp_path / "e21"
+        assert main(["enumerate", "--genus", "2", "--faces", "1",
+                     "--out", str(out)]) == 0
+        index = json.loads((out / "index.json").read_text())
+        assert index["count"] == 9
+
     def test_size_guard_exit(self, tmp_path, capsys):
-        assert main(["enumerate", "--genus", "0", "--faces", "5",
+        assert main(["enumerate", "--genus", "0", "--faces", "6",
                      "--out", str(tmp_path / "x")]) == 1
         assert "guard" in capsys.readouterr().err
 
@@ -121,6 +128,10 @@ class TestIntersectCmd:
     def test_values(self, capsys):
         assert main(["intersect", "--genus", "1", "--d", "1"]) == 0
         assert capsys.readouterr().out.strip() == "1/24"
+
+    def test_genus_two(self, capsys):
+        assert main(["intersect", "--genus", "2", "--d", "4"]) == 0
+        assert capsys.readouterr().out.strip() == "1/1152"
 
     def test_ledger(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.json"

@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
-from conftest import make_graph
-from oracles import brute_force_isomorphic, brute_force_isomorphisms
+from conftest import make_graph, trivalent_classes
+from oracles import brute_force_isomorphic, brute_force_isomorphisms, tau
 
 from ribboncells import enumeration
-from ribboncells.enumeration import (SizeGuardError, _rooted_code,
-                                     automorphisms, canonical_form,
-                                     canonical_key, enumerate_cells,
-                                     enumerate_trivalent, isomorphic,
-                                     trivalent_edge_count)
+from ribboncells.enumeration import (SizeGuardError, automorphisms,
+                                     canonical_form, canonical_key,
+                                     enumerate_cells, enumerate_trivalent,
+                                     isomorphic, trivalent_edge_count)
 from ribboncells.permgraph import StableRibbonGraph, genus, relabel, validate
 from ribboncells.sampling import random_edge_relabelling, random_stable_graph
 
@@ -154,7 +155,7 @@ class TestEnumerateTrivalent:
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
-            enumerate_trivalent(0, 5)
+            enumerate_trivalent(0, 6)
 
     def test_deterministic(self):
         a = [c.key for c in enumerate_trivalent(0, 3)]
@@ -175,26 +176,21 @@ class TestEnumerateTrivalent:
                 assert V - gr.num_edges + gr.num_faces == 2 - 2 * g
 
 
-#: (g, n) with E <= 6, the number of unlabelled trivalent classes, and the
-#: number of labelling candidates (unlabelled classes times n!)
-SWEEP_SIZES = [(0, 3, 2, 12), (1, 1, 1, 1), (0, 4, 6, 144), (1, 2, 5, 10)]
+#: (g, n) with E <= 9, the number of unlabelled trivalent classes and the
+#: number of classes with labelled faces
+CLASS_COUNTS = [(0, 3, 2, 4), (1, 1, 1, 1), (0, 4, 6, 64), (1, 2, 5, 9),
+                (2, 1, 9, 9), (1, 3, 46, 236), (0, 5, 26, 2240)]
 
 
-def unlabelled_representatives(g, n):
-    """One graph per unlabelled class among the trivalent classes."""
-    reps = {}
-    for c in enumerate_trivalent(g, n):
-        reps.setdefault(canonical_key(c.graph, labelled=False), c.graph)
-    return list(reps.values())
+class TestGrowth:
+    @pytest.mark.parametrize("g, n, unlabelled, labelled", CLASS_COUNTS)
+    def test_class_counts(self, g, n, unlabelled, labelled):
+        assert len(enumeration._unlabelled_classes(g, n)) == unlabelled
+        assert len(trivalent_classes(g, n)) == labelled
 
-
-def rooted_codes(graph):
-    return {_rooted_code(graph.sigma0, r) for r in range(graph.num_half_edges)}
-
-
-class TestRootedCodeMemo:
-    @pytest.mark.parametrize("g, n, unlabelled, candidates", SWEEP_SIZES)
-    def test_one_search_per_class(self, monkeypatch, g, n, unlabelled, candidates):
+    @pytest.mark.parametrize("g, n, searches", [
+        (0, 3, 12), (1, 1, 1), (0, 4, 144), (1, 2, 10)])
+    def test_one_labelled_search_per_labelling(self, monkeypatch, g, n, searches):
         calls = {True: 0, False: 0}
         real = enumeration.canonical_key
 
@@ -204,30 +200,62 @@ class TestRootedCodeMemo:
 
         monkeypatch.setattr(enumeration, "canonical_key", counting)
         enumerate_trivalent(g, n)
-        assert calls == {False: unlabelled, True: candidates}
+        assert calls[True] == searches
 
-    @pytest.mark.parametrize("g, n, unlabelled, candidates", SWEEP_SIZES)
-    def test_code_sets_of_classes_disjoint(self, g, n, unlabelled, candidates):
-        sets = [rooted_codes(gr) for gr in unlabelled_representatives(g, n)]
-        assert len(sets) == unlabelled
-        for i, a in enumerate(sets):
-            assert None not in a
-            for b in sets[i + 1:]:
-                assert a.isdisjoint(b)
+    @pytest.mark.parametrize("g, n", [(2, 1), (1, 3), (0, 5)])
+    def test_nine_edge_classes_are_trivalent(self, g, n):
+        for c in trivalent_classes(g, n):
+            assert c.graph.num_edges == 9
+            assert c.graph.is_trivalent()
+            assert genus(c.graph) == g and c.graph.num_faces == n
 
-    @pytest.mark.parametrize("g, n, unlabelled, candidates", SWEEP_SIZES)
-    def test_root_code_survives_relabelling(self, g, n, unlabelled, candidates):
-        rng = random.Random(1000 * g + n)
-        for graph in unlabelled_representatives(g, n):
-            codes = rooted_codes(graph)
-            for _ in range(20):
-                psi = random_edge_relabelling(rng, graph.num_edges)
-                assert _rooted_code(relabel(graph, psi).sigma0, 0) in codes
 
-    def test_disconnected_has_no_code(self):
-        # two theta graphs side by side: vertices (0 2 4)(1 3 5), (6 8 10)(7 9 11)
-        s0 = (2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7)
-        assert _rooted_code(s0, 0) is None
+def kontsevich_sides(classes, g, n, lam):
+    """Both sides of Kontsevich's identity at face variables ``lam``:
+    the sum over classes of 2^-V / |Aut| prod_e 2 / (lam_f(e) + lam_f'(e)),
+    and the sum over d of <tau_d> prod_i (2 d_i - 1)!! / lam_i^(2 d_i + 1)."""
+    E = trivalent_edge_count(g, n)
+    lhs = Fraction(0)
+    for c in classes:
+        face = c.graph.face_label_of
+        term = Fraction(1, 2 ** (2 * E // 3) * automorphisms(c.graph).order)
+        for e in range(E):
+            term *= Fraction(2) / (lam[face[2 * e] - 1] + lam[face[2 * e + 1] - 1])
+        lhs += term
+    rhs = Fraction(0)
+    D = 3 * g - 3 + n
+    for d in product(range(D + 1), repeat=n):
+        if sum(d) == D:
+            rhs += tau(*d) * prod(Fraction(prod(range(2 * di - 1, 0, -2)),
+                                            li ** (2 * di + 1))
+                                  for di, li in zip(d, lam))
+    return lhs, rhs
+
+
+def seeded_lambdas(seed, n):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(n)]
+
+
+class TestKontsevichIdentity:
+    """The class lists are complete and duplicate-free: the identity weighs
+    every class with a positive term, so a missing or repeated class breaks
+    it."""
+
+    @pytest.mark.parametrize("g, n", [row[:2] for row in CLASS_COUNTS])
+    def test_identity_holds(self, g, n):
+        for seed in (1, 2):
+            lhs, rhs = kontsevich_sides(trivalent_classes(g, n), g, n,
+                                        seeded_lambdas(seed, n))
+            assert lhs == rhs
+
+    @pytest.mark.parametrize("g, n", [row[:2] for row in CLASS_COUNTS])
+    def test_missing_or_repeated_class_breaks_it(self, g, n):
+        classes = trivalent_classes(g, n)
+        lam = seeded_lambdas(1, n)
+        _, rhs = kontsevich_sides(classes, g, n, lam)
+        assert kontsevich_sides(classes[:-1], g, n, lam)[0] != rhs
+        assert kontsevich_sides(classes + classes[:1], g, n, lam)[0] != rhs
 
 
 class TestEnumerateCells:

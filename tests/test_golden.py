@@ -28,6 +28,7 @@ from functools import cache
 
 import pytest
 
+from conftest import trivalent_classes
 from ribboncells.enumeration import automorphisms, enumerate_cells, enumerate_trivalent
 from ribboncells.intersect import intersection_number
 from ribboncells.permgraph import to_json_dict
@@ -37,8 +38,8 @@ from ribboncells.sampling import random_stable_graph
 @pytest.mark.parametrize("g, n, digest", [
     (0, 3, "a46f397a2204f8c377a7b2bbc0fc8e63adebbb62153d7f7605db906afce78144"),
     (1, 1, "af7e939d4a29e0a93909edfdfafc2b0b9c6abb83830df5b86d32df6fa697718a"),
-    (0, 4, "a711505b2807208496df659f62a7399379986e68e3efcf38ff85b7ef139ad90c"),
-    (1, 2, "c83ed61b7723200949681f3d917542f7c756a8e08e5752c7dce196b4a1db25c3"),
+    (0, 4, "61b84b524ff4f4ab65e81ec250a7bcdc82f279a459a258ed18d14b649a3516e0"),
+    (1, 2, "f3480d24a71619daa8bad96580a489d15c8640e5cdbfb61e58f3152f55afc986"),
 ])
 def test_trivalent_keys_and_representatives(g, n, digest):
     # boundary edge indices are indices into these representatives
@@ -52,9 +53,12 @@ def test_trivalent_keys_and_representatives(g, n, digest):
     (1, 1, "787e31d9e0e5789056ea9c7375f7ca74ad4d11a863d1b499446d6e6742a3e556"),
     (0, 4, "bcf258eef6d8f0d8ce629355f47708d6cc2b9ef5254b1099e3023ad2abe7257f"),
     (1, 2, "d393d7b9984817b2a92787110f58089f829db48dddb2f15536856eb7f950a180"),
+    (2, 1, "d4f8bbae669a082a91b2c686e58c6e782327d5cc279752907d8de7e2a7f3cdeb"),
+    (1, 3, "6bc6b36eebffcbef67bb93332af3ccd64141bef85d5cef8b007e54353a505a0f"),
+    (0, 5, "9bf41a7cc8df0d6e522752fc934caa4da98acc22ddb630c4a448a4bd333b891c"),
 ])
 def test_trivalent_key_invariants(g, n, digest):
-    text = "\n".join(sorted(c.key.hex() for c in enumerate_trivalent(g, n)))
+    text = "\n".join(sorted(c.key.hex() for c in trivalent_classes(g, n)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -69,8 +73,8 @@ def _closure_digest(g, n):
 
 
 @pytest.mark.parametrize("g, n, digest, classes, boundary", [
-    (0, 4, "7fc16aab6cadd697d88a167582f00bc0e934b7ecfbc2de3f450781d8e5ebb42f", 354, 1020),
-    (1, 2, "cba654e46a7802fbd3dbe6186c77163257f486d94569a2353394268600cb17d3", 62, 225),
+    (0, 4, "4aa78ce846470b43f382f16c4adcb31a9c6583f41c6d85c59001b63e9de42fcd", 354, 1020),
+    (1, 2, "e6a2b23a20fc738bf69520b779a62daea8e62f28623bd1c72d3540a825ad5cfa", 62, 225),
 ])
 def test_closure_keys_and_boundary(g, n, digest, classes, boundary):
     assert _closure_digest(g, n) == (digest, classes, boundary)
@@ -113,13 +117,13 @@ LEDGER_DIGESTS = {
     ((1, 0, 0, 0), "13/2,9,41/3,8"):
         "4df47e595842a06791417519da3ee384ae5fdd52a3126313d065a74036898b93",
     ((1, 1), None):
-        "ec27c08cb8b099400a80458faf2eb878fdb1466b22c6090accda2ae39ff18138",
+        "c2014889b9c81fc909fe8b88d7da89c67dfeab05bd18c639258c8351af753e3b",
     ((1, 1), "19/2,23/3"):
-        "163cd2b339eb88dae8496820deab56dec2009d79c5c9cc0830d3c463564240ee",
+        "24f3d970921db7901b106185ba97c728a8d75e0849b543ceaf467f81a69d3903",
     ((2, 0), None):
-        "c62a59c5c68e0906ddc63553e39c47a70f6dcc1fa6f06c6cad429d43ef31990f",
+        "55fd18f275fa88e074cf117b41857cdb47a8ff0fd5302ef9d21f66a9fe3becba",
     ((2, 0), "31/4,11"):
-        "9e2551e29942f5ee5beb1131e03ab093373304e3886a182977a7ea2115c5d71e",
+        "8718041253543f4b1403fcf18dc698cdedbb2ad45598542ab10a3a568c80eefc",
 }
 
 
@@ -190,7 +194,7 @@ def test_cell_ledger_invariants(exponents, perimeters):
 
 @pytest.mark.parametrize("g, n, digest", [
     (0, 4, "4fc3567dd594f9f61139f468a5d46aeac5f5b17d2f37d436375c4b7a4f085871"),
-    (1, 2, "ecbc7d7e3705284121e3da1e4ef842a52000a078ac37ab14163657a90bae3745"),
+    (1, 2, "e5b696c9fbfa0131ef60ab07773c075efd34ba75c0fabd9a611f2af25ddf381a"),
 ])
 def test_closure_automorphisms(g, n, digest):
     summary = enumerate_cells(g, n)
@@ -232,11 +236,11 @@ WALL_LEDGER_DIGESTS = {
     (5, 5):
         "125bea4e9dfdc378129d68dbbf801ac34ee9a4ca48cc044873d253254b45fa28",
     (3, 6):
-        "c9c6ee2529c838853cc2138f5e1b20e1d790d4c3dad1f5db654b2c62bc05c2e3",
+        "527969a4af02a51618d8c311b61d317dfa59cb6b4045768d85020d6433f338d3",
     (6, 3):
-        "54326f0bbad6c8d7183a860706e3c1b6a9c74e4d2203bfc62fab1368de73fb86",
+        "13751af3bade3e2294962ec5823d6048bb8c5c81714c091d9193c1459ddd3231",
     (2, 6):
-        "47340b99307aa9f766661b99f078b7059401dc9b5c91877ca45886ed271ad4b1",
+        "f46f8e59aa53d5af283e4529de418a036a06297ce54a326ae54f203c888ad776",
     (1, 1):
         "d1e285997e5e4596fa9bb67455861bcb5cbdfc218f2ffd87b0667a9c487afb9c",
 }

@@ -308,8 +308,11 @@ class TestIntersectionNumbers:
         with pytest.raises(QueryError):
             intersection_number(1, [2])
 
+    def test_nine_edges(self):
+        assert intersection_number(1, (1, 1, 1)).value == tau(1, 1, 1)
+
     def test_size_guard_propagates(self):
         from ribboncells.enumeration import SizeGuardError
 
         with pytest.raises(SizeGuardError):
-            intersection_number(0, [2, 0, 0, 0, 0])
+            intersection_number(0, [3, 0, 0, 0, 0, 0])
