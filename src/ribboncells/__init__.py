@@ -13,8 +13,8 @@ from .permgraph import (FaceWord, HalfEdgeSet, InvalidGraphError,
 from .stable import (ContractionError, contract_edge, contract_set,
                      contractible_edges, induced_component_graph)
 from .enumeration import (AutomorphismGroup, GraphClass, SizeGuardError,
-                          automorphisms, canonical_form, canonical_key,
-                          enumerate_cells, enumerate_trivalent, isomorphic)
+                          automorphisms, canonical_key, enumerate_cells,
+                          enumerate_trivalent, isomorphic)
 
 __all__ = [
     "FaceWord", "HalfEdgeSet", "InvalidGraphError", "StableRibbonGraph",
@@ -23,6 +23,5 @@ __all__ = [
     "ContractionError", "contract_edge", "contract_set", "contractible_edges",
     "induced_component_graph",
     "AutomorphismGroup", "GraphClass", "SizeGuardError", "automorphisms",
-    "canonical_form", "canonical_key", "enumerate_cells",
-    "enumerate_trivalent", "isomorphic",
+    "canonical_key", "enumerate_cells", "enumerate_trivalent", "isomorphic",
 ]

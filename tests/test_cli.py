@@ -80,6 +80,16 @@ class TestContract:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--genus", "-1", "--faces", "5", "--out"],
+    ["cells", "--genus", "-1", "--faces", "5", "--perimeters", "1,2,3,4,5",
+     "--out"],
+    ["intersect", "--genus", "-1", "--d", "0,0,0,0,0,0", "--ledger"]])
+def test_negative_genus_exit(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path / "x")]) == 2
+    assert "not stable" in capsys.readouterr().err
+
+
 class TestEnumerateCmd:
     def test_writes_classes_and_index(self, tmp_path, capsys):
         out = tmp_path / "e03"

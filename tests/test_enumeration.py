@@ -10,9 +10,9 @@ from oracles import brute_force_isomorphic, brute_force_isomorphisms, tau
 
 from ribboncells import enumeration
 from ribboncells.enumeration import (SizeGuardError, automorphisms,
-                                     canonical_form, canonical_key,
-                                     enumerate_cells, enumerate_trivalent,
-                                     isomorphic, trivalent_edge_count)
+                                     canonical_key, enumerate_cells,
+                                     enumerate_trivalent, isomorphic,
+                                     trivalent_edge_count)
 from ribboncells.permgraph import StableRibbonGraph, genus, relabel, validate
 from ribboncells.sampling import random_edge_relabelling, random_stable_graph
 
@@ -49,14 +49,6 @@ class TestCanonicalKey:
         assert (canonical_key(relabelled) == canonical_key(planar_theta)) \
             == brute_force_isomorphic(relabelled, planar_theta)
 
-    def test_canonical_form_is_isomorphic_representative(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            g = random_stable_graph(rng, max_edges=5)
-            c = canonical_form(g)
-            assert validate(c, require_stability=False) is None
-            assert canonical_key(c) == canonical_key(g)
-
 
 class TestAutomorphisms:
     def test_theta_order_six(self, theta):
@@ -84,15 +76,26 @@ class TestAutomorphisms:
             assert aut.order == len(brute)
             assert set(aut.elements) == brute
 
-    def test_generators_fix_structure(self, theta):
-        aut = automorphisms(theta)
-        for psi in aut.elements:
-            assert isomorphic(relabel(theta, psi), theta)
-            assert relabel(theta, psi) == canonical_eq(theta, psi)
+    def test_generators_fix_structure(self, theta, planar_theta):
+        for psi in automorphisms(theta).elements:
+            assert fixes_structure(theta, psi)
+        # negative control: swapping two edges respects the pairing and
+        # gives an isomorphic graph, but moves sigma0
+        psi = [2, 3, 0, 1, 4, 5]
+        assert isomorphic(relabel(planar_theta, psi), planar_theta)
+        assert not fixes_structure(planar_theta, psi)
+
+    @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (1, 2)])
+    def test_enumerated_classes_agree_with_brute_force(self, g, n):
+        # their groups come from searches reused across the labellings
+        for c in trivalent_classes(g, n):
+            brute = {tuple(psi) for psi in brute_force_isomorphisms(c.graph, c.graph)}
+            assert automorphisms(c.graph).elements == tuple(sorted(brute))
 
 
-def canonical_eq(g, psi):
-    return relabel(g, psi)
+def fixes_structure(g, psi):
+    h = relabel(g, psi)
+    return h.sigma0 == g.sigma0 and h.face_label_of == g.face_label_of
 
 
 def brute_trivalent_classes(g, n):
@@ -153,6 +156,10 @@ class TestEnumerateTrivalent:
         with pytest.raises(ValueError):
             enumerate_trivalent(0, 2)
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="not stable"):
+            enumerate_trivalent(-1, 5)
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             enumerate_trivalent(0, 6)
@@ -188,19 +195,28 @@ class TestGrowth:
         assert len(enumeration._unlabelled_classes(g, n)) == unlabelled
         assert len(trivalent_classes(g, n)) == labelled
 
-    @pytest.mark.parametrize("g, n, searches", [
-        (0, 3, 12), (1, 1, 1), (0, 4, 144), (1, 2, 10)])
-    def test_one_labelled_search_per_labelling(self, monkeypatch, g, n, searches):
-        calls = {True: 0, False: 0}
-        real = enumeration.canonical_key
+    @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (0, 4), (1, 2)])
+    def test_no_search_after_the_unlabelled_classes(self, monkeypatch, g, n):
+        """The labelled keys and the automorphism groups of the classes
+        reuse the searches that deduplicated the unlabelled classes."""
+        state = {"grown": False, "late": 0}
+        traversals = enumeration._traversals
+        unlabelled = enumeration._unlabelled_classes
 
-        def counting(graph, labelled=True):
-            calls[labelled] += 1
-            return real(graph, labelled)
+        def counting(*args):
+            state["late"] += state["grown"]
+            return traversals(*args)
 
-        monkeypatch.setattr(enumeration, "canonical_key", counting)
-        enumerate_trivalent(g, n)
-        assert calls[True] == searches
+        def marking(*args):
+            out = unlabelled(*args)
+            state["grown"] |= args == (g, n)
+            return out
+
+        monkeypatch.setattr(enumeration, "_traversals", counting)
+        monkeypatch.setattr(enumeration, "_unlabelled_classes", marking)
+        for c in enumerate_trivalent(g, n):
+            automorphisms(c.graph)
+        assert state["grown"] and state["late"] == 0
 
     @pytest.mark.parametrize("g, n", [(2, 1), (1, 3), (0, 5)])
     def test_nine_edge_classes_are_trivalent(self, g, n):
