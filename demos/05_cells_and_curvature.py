@@ -50,4 +50,4 @@ print("d(alpha) on arc1:", da.forms["arc1"])
 down = basic_descent(pb.projection, da)
 print("descended to the cell:", down.forms["cell"])
 print("combinatorial curvature, restricted to the chart:",
-      omega_on_chart(omega(g, 1, [12]), cell))
+      omega_on_chart(omega(cell, 1)))

@@ -104,8 +104,6 @@ def cmd_contract(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     index = {"genus": args.genus, "faces": args.faces, "classes": []}
     if args.all_cells:
         summary = enumerate_cells(args.genus, args.faces)
@@ -116,9 +114,10 @@ def cmd_enumerate(args) -> int:
         index["top_cells"] = [k.hex()[:16] for k in summary.top_keys]
     else:
         items = [(c.key, c.graph) for c in enumerate_trivalent(args.genus, args.faces)]
+    files = {}
     for i, (key, graph) in enumerate(items):
         name = f"class_{i:04d}.json"
-        (out / name).write_text(permgraph.dumps(graph, indent=2) + "\n")
+        files[name] = permgraph.dumps(graph, indent=2) + "\n"
         index["classes"].append({
             "file": name,
             "key": key.hex()[:16],
@@ -126,37 +125,47 @@ def cmd_enumerate(args) -> int:
             "aut_order": automorphisms(graph).order,
         })
     index["count"] = len(items)
-    (out / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    files["index.json"] = json.dumps(index, indent=2) + "\n"
+    out = _write_all(args.out, files)
     print(f"wrote {len(items)} classes to {out}")
     return 0
+
+
+def _write_all(path: str, files: dict[str, str]) -> Path:
+    """Create the output directory and write every file into it; called
+    only once the whole output is computed, so failed input leaves no
+    directory behind."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return out
 
 
 # -- cells ----------------------------------------------------------------
 
 
 def cmd_cells(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     p = _parse_fraction_list(args.perimeters)
     summary = enumerate_cells(args.genus, args.faces)
     index = {"genus": args.genus, "faces": args.faces,
              "perimeters": [serialize.rat(x) for x in p], "cells": []}
-    keys = {k: i for i, k in enumerate(sorted(summary.classes))}
-    for key in sorted(summary.classes):
-        cls = summary.classes[key]
-        cell = cell_polytope(cls.graph, p)
-        name = f"cell_{keys[key]:04d}.json"
+    files = {}
+    for i, key in enumerate(sorted(summary.classes)):
+        cell = cell_polytope(summary.classes[key].graph, p)
+        name = f"cell_{i:04d}.json"
         payload = serialize.cell_to_json(cell)
         payload["key"] = key.hex()[:16]
         payload["top"] = key in summary.top_keys
-        (out / name).write_text(json.dumps(payload, indent=2) + "\n")
+        files[name] = json.dumps(payload, indent=2) + "\n"
         index["cells"].append({
             "file": name, "key": key.hex()[:16], "dim": cell.dim,
             "empty": cell.is_empty, "rank_deficient": cell.rank_deficient})
     index["boundary"] = [
         {"parent": pk.hex()[:16], "edge": e, "child": ck.hex()[:16]}
         for pk, e, ck in summary.boundary]
-    (out / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    files["index.json"] = json.dumps(index, indent=2) + "\n"
+    out = _write_all(args.out, files)
     print(f"wrote {len(index['cells'])} cells to {out}")
     return 0
 

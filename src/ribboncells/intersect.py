@@ -16,14 +16,16 @@ meeting there counts each point; no vertex enumeration or triangulation
 is involved.
 
 Every omega_i is constant, so in the 2D-dimensional chart it is an
-antisymmetric matrix A_i, and (sum_i t_i omega_i)^D / D! =
-Pf(sum_i t_i A_i) dx_1 ... dx_2D (Kontsevich 1992, section 2).  The cell
-coefficient is the multilinear part of that Pfaffian, and no polynomial
-algebra is needed.
+antisymmetric matrix A_i, built once per cell from a prefix sum over the
+face word, and (sum_i t_i omega_i)^D / D! = Pf(sum_i t_i A_i) dx_1 ...
+dx_2D (Kontsevich 1992, section 2).  The cell coefficient is the
+multilinear part of that Pfaffian, grouped by how many copies of each
+face a term holds, and no polynomial algebra is needed.
 
 Cells are oriented so that ``(sum_i p_i^2 omega_i)^D``, that is the
-Pfaffian of ``sum_i p_i^2 A_i``, is positive; the overall normalization
-makes the (0, 3) number equal to 1 and is then fixed once and for all.
+Pfaffian of ``sum_i p_i^2 A_i`` over the same matrices, is positive; the
+overall normalization makes the (0, 3) number equal to 1 and is then
+fixed once and for all.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import comb, prod
 from typing import Sequence
 
 from .cells import CellPolytope, cell_polytope
 from .enumeration import GraphClass, automorphisms, enumerate_trivalent
 from .linalg import pfaffian
-from .permgraph import StableRibbonGraph, faces
+from .permgraph import faces
 
 
 class QueryError(ValueError):
@@ -48,109 +52,79 @@ class OrientationError(ValueError):
     convention cannot decide a sign and guessing is not allowed."""
 
 
-@dataclass(frozen=True)
-class OmegaForm:
-    """Constant curvature 2-form of one face, as an antisymmetric edge-pair
-    matrix scaled by the inverse squared perimeter."""
+def omega(cell: CellPolytope, face_label: int,
+          start_side: int = 0) -> list[list[Fraction]]:
+    """The antisymmetric chart matrix A of one face's curvature form,
+    ``omega = sum_{j<k} A[j][k] dx_j ^ dx_k``.
 
-    face_label: int
-    num_edges: int
-    pairs: tuple[tuple[tuple[int, int], Fraction], ...]
-
-
-def omega(g: StableRibbonGraph, face_label: int, perimeters: Sequence,
-          start_side: int = 0) -> OmegaForm:
-    """The curvature form of one face; ``start_side`` rotates which side of
-    the face word is taken first (the restriction to any cell chart is
-    independent of that choice, modulo the perimeter relation)."""
-    g.require_valid()
-    p = [Fraction(x) for x in perimeters]
-    if len(p) != g.num_faces:
-        raise ValueError(f"expected {g.num_faces} perimeters")
-    word = next(w for w in faces(g) if w.label == face_label)
-    k = word.degree
-    edges = word.edges[start_side:] + word.edges[:start_side]
-    scale = Fraction(1) / (p[face_label - 1] ** 2)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for a in range(k - 1):
-        for b in range(a + 1, k - 1):
-            ea, eb = edges[a], edges[b]
-            if ea == eb:
-                continue
-            key, sgn = ((ea, eb), 1) if ea < eb else ((eb, ea), -1)
-            acc[key] = acc.get(key, Fraction(0)) + sgn * scale
-    pairs = tuple(sorted((k2, v) for k2, v in acc.items() if v != 0))
-    return OmegaForm(face_label=face_label, num_edges=g.num_edges, pairs=pairs)
-
-
-def chart_matrix(form: OmegaForm, cell: CellPolytope) -> list[list[Fraction]]:
-    """The antisymmetric d x d matrix A of the 2-form in the cell's
-    free-coordinate chart, ``form = sum_{j<k} A[j][k] dx_j ^ dx_k``, from
-    the chart differentials dl_e = sum_j coeffs[e][j] dx_j."""
-    d = cell.dim
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for (a, b), c in form.pairs:
-        ca, cb = cell.edge_charts[a][0], cell.edge_charts[b][0]
-        for j in range(d):
-            for k in range(d):
-                m[j][k] += c * (ca[j] * cb[k] - ca[k] * cb[j])
-    return m
-
-
-def _matrix_sum(mats) -> list[list[Fraction]]:
-    """Entrywise sum of equally sized matrices."""
-    return [[sum(xs, Fraction(0)) for xs in zip(*rows)] for rows in zip(*mats)]
-
-
-def restrict_to_cell(forms: Sequence[OmegaForm], cell: CellPolytope) -> Fraction:
-    """Top coefficient of the wedge product of the given 2-forms in the
-    cell's free-coordinate chart.
-
-    With A_k the chart matrix of the k-th of D forms, the product is the
-    coefficient of t_1 ... t_D in (sum_k t_k omega_k)^D / D! =
-    Pf(sum_k t_k A_k) dx_1 ... dx_2D.  By inclusion-exclusion that
-    multilinear coefficient is the sum, over the subsets S of the factors,
-    of (-1)^(D-|S|) Pf(sum_{k in S} A_k)."""
+    With u_b the chart row of side b and U_b the sum of the rows before
+    it, A = p^-2 sum_{b<k-1} (U_b u_b^T - u_b U_b^T), so one prefix sum
+    over the face word suffices.  ``start_side`` rotates which side is
+    taken first; the matrix does not depend on it, because the rows of
+    all k sides sum to 0 on the chart."""
     if not cell.chart_volume:
         raise ValueError("cell is empty at p + (eps, eps^2, ...)")
+    word = next(w for w in faces(cell.graph) if w.label == face_label)
+    edges = word.edges[start_side:] + word.edges[:start_side]
     d = cell.dim
-    D = len(forms)
+    prefix = [Fraction(0)] * d
+    # half[j][k] = sum_b U_b[j] u_b[k]; A is its antisymmetric part
+    half = [[Fraction(0)] * d for _ in range(d)]
+    for e in edges[:-1]:
+        u = cell.edge_charts[e][0]
+        nonzero = [(k, c) for k, c in enumerate(u) if c]
+        for row, x in zip(half, prefix):
+            if x:
+                for k, c in nonzero:
+                    row[k] += x * c
+        for k, c in nonzero:
+            prefix[k] += c
+    scale = 1 / cell.perimeters[face_label - 1] ** 2
+    return [[(half[j][k] - half[k][j]) * scale for k in range(d)]
+            for j in range(d)]
+
+
+def _combination(mats, weights) -> list[list[Fraction]]:
+    """``sum_i weights[i] * mats[i]``, skipping zero weights."""
+    d = len(mats[0])
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for w, m in zip(weights, mats):
+        if w:
+            out = [[a + w * x for a, x in zip(ra, rm)] for ra, rm in zip(out, m)]
+    return out
+
+
+def restrict_to_cell(mats: Sequence, exponents: Sequence[int]) -> Fraction:
+    """Top coefficient of ``prod_i omega_i^{d_i}`` in the cell chart, from
+    the chart matrices A_i of the faces and the exponents d_i.
+
+    The product of D = sum d_i forms is the coefficient of t_1 ... t_D in
+    (sum_k t_k omega_k)^D / D! = Pf(sum_k t_k A_k) dx_1 ... dx_2D, one
+    factor per copy.  By inclusion-exclusion that multilinear coefficient
+    is the sum, over the subsets of the copies, of
+    (-1)^(D-|S|) Pf(sum_{k in S} A_k); a subset holding s_i copies of face
+    i stands for prod_i C(d_i, s_i) of them, so only prod_i (d_i + 1)
+    Pfaffians are taken."""
+    d = len(mats[0])
+    D = sum(exponents)
     if 2 * D != d:
         raise ValueError(
             f"product of {D} two-forms has degree {2 * D}, "
             f"cell dimension is {d}")
-    if cell.rank_deficient:
-        raise ValueError("rank-deficient incidence matrix over these perimeters")
-    if not forms:
-        return Fraction(1)
-    mats = {f: chart_matrix(f, cell) for f in set(forms)}
     total = Fraction(0)
-    # the empty subset contributes Pf(0) = 0
-    for mask in range(1, 1 << D):
-        chosen = [mats[f] for k, f in enumerate(forms) if mask >> k & 1]
-        pf = pfaffian(_matrix_sum(chosen))
-        total += -pf if (D - len(chosen)) % 2 else pf
+    for s in product(*(range(k + 1) for k in exponents)):
+        term = prod(comb(k, j) for k, j in zip(exponents, s)) \
+            * pfaffian(_combination(mats, s))
+        total += -term if (D - sum(s)) % 2 else term
     return total
 
 
-def orientation_sign(g: StableRibbonGraph, perimeters: Sequence,
-                     cell: CellPolytope | None = None) -> int:
-    """Sign of ``(sum_i p_i^2 omega_i)^D / D! = Pf(sum_i p_i^2 A_i)`` in the
-    cell chart; +1 for zero-dimensional cells by convention."""
-    if cell is None:
-        cell = cell_polytope(g, perimeters)
-    if not cell.chart_volume:
-        raise ValueError("a cell empty at p + (eps, eps^2, ...) has no orientation")
-    if cell.dim % 2 != 0:
-        raise OrientationError("odd-dimensional cell cannot be oriented here")
-    if cell.dim == 0:
-        return 1
-    if cell.rank_deficient:
-        raise ValueError("rank-deficient incidence matrix over these perimeters")
-    # p_i^2 omega_i is the curvature form at unit perimeters
-    unit = [1] * g.num_faces
-    pf = pfaffian(_matrix_sum([chart_matrix(omega(g, i, unit), cell)
-                               for i in range(1, g.num_faces + 1)]))
+def orientation_sign(mats: Sequence, perimeters: Sequence) -> int:
+    """Sign of ``(sum_i p_i^2 omega_i)^D / D! = Pf(sum_i p_i^2 A_i)`` from
+    the chart matrices A_i of the faces; +1 on a zero-dimensional cell,
+    whose Pfaffian is that of the empty matrix.  An odd-dimensional cell
+    has Pfaffian 0 and, like any other degenerate one, raises."""
+    pf = pfaffian(_combination(mats, [Fraction(p) ** 2 for p in perimeters]))
     if pf == 0:
         raise OrientationError(
             "reference form degenerate on this cell; refusing to guess a sign")
@@ -231,11 +205,11 @@ def integrate_cell(cls: GraphClass, query: IntersectionQuery) -> CellContributio
     if vol == 0:
         return CellContribution(cls.key, aut, True, 1,
                                 Fraction(0), Fraction(0), Fraction(0))
-    form_list = []
-    for i, d_i in enumerate(query.exponents, start=1):
-        form_list.extend([omega(g, i, query.perimeters)] * d_i)
-    sign = orientation_sign(g, query.perimeters, cell)
-    coeff = restrict_to_cell(form_list, cell)
+    if cell.rank_deficient:
+        raise ValueError("rank-deficient incidence matrix over these perimeters")
+    mats = [omega(cell, i) for i in range(1, g.num_faces + 1)]
+    sign = orientation_sign(mats, query.perimeters)
+    coeff = restrict_to_cell(mats, query.exponents)
     contribution = sign * coeff * vol / aut
     return CellContribution(cls.key, aut, False, sign, coeff, vol, contribution)
 

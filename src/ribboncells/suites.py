@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import permgraph
-from .cells import (CellPolytope, PolygonFiber, cell_polytope,
+from .cells import (PolygonFiber, cell_polytope,
                     fiber_integral_alpha, polygon_bundle)
 from .enumeration import canonical_key, enumerate_trivalent
-from .intersect import OmegaForm, chart_matrix, intersection_number, omega
+from .intersect import intersection_number, omega
 from .model0 import PointConfig, QQi, full_map, full_maps_agree, mobius_apply
 from .permgraph import faces
 from .polyform import (Chain, Form, FormOnComplex, Piece, Polynomial,
@@ -213,7 +213,7 @@ def _suite_omega(report: SuiteReport, rng: random.Random, cases):
                     "graph": permgraph.to_json_dict(cls.graph),
                     "perimeters": [str(x) for x in p], "face": w.label})
                 continue
-            lift = omega_on_chart(omega(cls.graph, w.label, p), cell)
+            lift = omega_on_chart(omega(cell, w.label))
             mismatch = any(
                 da.forms[a] != _lift_to_bundle(lift, cell.dim)
                 for a in pb.arc_names())
@@ -224,10 +224,10 @@ def _suite_omega(report: SuiteReport, rng: random.Random, cases):
                     "perimeters": [str(x) for x in p], "face": w.label})
 
 
-def omega_on_chart(form: OmegaForm, cell: CellPolytope) -> Form:
-    """The 2-form restricted to the cell's free-coordinate chart."""
-    d = cell.dim
-    m = chart_matrix(form, cell)
+def omega_on_chart(m) -> Form:
+    """The 2-form of an antisymmetric chart matrix, as a constant ``Form``
+    on the cell's free-coordinate chart."""
+    d = len(m)
     return Form(d, 2, {(j, k): Polynomial.constant(d, m[j][k])
                        for j in range(d) for k in range(j + 1, d)
                        if m[j][k] != 0})

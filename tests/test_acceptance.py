@@ -146,8 +146,7 @@ def test_criterion_6_curvature_is_basic():
             for w in faces(graph):
                 pb = polygon_bundle(cell, w.label)
                 da = pb.alpha.d()
-                lift = _lift(omega_on_chart(omega(graph, w.label, p), cell),
-                             cell.dim)
+                lift = _lift(omega_on_chart(omega(cell, w.label)), cell.dim)
                 for name in pb.arc_names():
                     assert not da.forms[name].uses_variable(cell.dim), \
                         f"fiber differential in d(alpha) on {name}"

@@ -90,7 +90,7 @@ class TestTrivialBundle:
 
         from ribboncells.cells import cell_polytope, polygon_bundle
         from ribboncells.enumeration import automorphisms, enumerate_trivalent
-        from ribboncells.intersect import default_perimeters, orientation_sign
+        from ribboncells.intersect import default_perimeters, omega, orientation_sign
         from ribboncells.polyform import Chain, Gluing, Morphism, PolytopalComplex
 
         p = default_perimeters(4)
@@ -115,7 +115,8 @@ class TestTrivialBundle:
             for name, v in pb.fiber_directions.items():
                 dirs[pre + name] = v
             samples[pre + "cell"] = cell.interior_point()
-            weight = F(orientation_sign(cls.graph, p, cell),
+            mats = [omega(cell, i) for i in range(1, 5)]
+            weight = F(orientation_sign(mats, p),
                        automorphisms(cls.graph).order)
             chain = chain + polytope_chain(pre + "cell", cell.polytope,
                                            coeff=weight)

@@ -88,6 +88,7 @@ class TestContract:
 def test_negative_genus_exit(tmp_path, capsys, argv):
     assert main(argv + [str(tmp_path / "x")]) == 2
     assert "not stable" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 class TestEnumerateCmd:
@@ -120,6 +121,7 @@ class TestEnumerateCmd:
         assert main(["enumerate", "--genus", "0", "--faces", "6",
                      "--out", str(tmp_path / "x")]) == 1
         assert "guard" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestCellsCmd:
@@ -132,6 +134,13 @@ class TestCellsCmd:
         assert tops
         one = json.loads((out / index["cells"][0]["file"]).read_text())
         assert "edge_charts" in one and "incidence" in one
+
+    def test_wrong_perimeter_count_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "z"
+        assert main(["cells", "--genus", "0", "--faces", "3",
+                     "--perimeters", "1,2", "--out", str(out)]) == 2
+        assert "perimeters" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIntersectCmd:
