@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
 reports an invalid graph (``stable: False`` and its first violation) and
-still exits 0; an unreadable or malformed file exits 2.  All randomness is
-seedable.
+still exits 0; an unreadable or malformed file exits 2, and so do a
+malformed number list and ``check --cases`` below 1.  Usage errors print
+``usage error: ...`` on stderr.  All randomness is seedable.
 """
 
 from __future__ import annotations
@@ -235,6 +236,8 @@ def cmd_model0(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     if args.jobs > 1 and args.suite == "all":
         import multiprocessing as mp
 
@@ -261,18 +264,26 @@ def cmd_check(args) -> int:
 # -- parsing helpers ----------------------------------------------------------
 
 
+def _parse_list(text: str, kind) -> list:
+    """The comma-separated entries of ``text`` read by ``kind``; a bad
+    entry raises ``ValueError`` naming it."""
+    out = []
+    for token in text.split(","):
+        if token.strip() == "":
+            continue
+        try:
+            out.append(kind(token))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad list entry {token!r} in {text!r}") from exc
+    return out
+
+
 def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise SystemExit(2) from exc
+    return _parse_list(text, int)
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise SystemExit(2) from exc
+    return tuple(_parse_list(text, Fraction))
 
 
 def build_parser() -> argparse.ArgumentParser:

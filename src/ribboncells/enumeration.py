@@ -8,6 +8,15 @@ key of a graph is the minimum, over all rooted deterministic traversals,
 of a serialization of the relabelled structure; two graphs have equal keys
 iff they are isomorphic in this sense.
 
+The traversals are not serialized one by one.  They advance in lockstep,
+one half-edge per step, and after each step only those whose relabelled
+vertex permutation has the least prefix so far go on (the partial
+certificates of McKay and Piperno, *Practical graph isomorphism II*,
+2014).  That permutation leads the serialization and has the same length
+in every traversal, so a traversal dropped early serializes strictly above
+a survivor: the minimum and all its ties are exactly those of the full
+search, in the same order.
+
 Face labels come last in the serialization, and no traversal depends on
 them.  So one search, which ignores the labels, serves both keys: the
 labelled minimum is the unlabelled one with the least label word among
@@ -34,27 +43,13 @@ class SizeGuardError(ValueError):
 
 
 #: Largest edge count accepted by :func:`enumerate_trivalent`.  Past it, on
-#: a 2-CPU Xeon with Python 3.11, (2,2) grows its 713 classes in 11 s, and
-#: (0,6) holds 122,880 classes in 465 MB after 21 s, 17 s of it labelling.
+#: a 2-CPU Xeon with Python 3.11, (2,2) grows its 713 classes in 5 s, and
+#: (0,6) holds 122,880 classes in 465 MB after 19 s, 17 s of it labelling.
 MAX_EDGES = 9
 
 
 # ---------------------------------------------------------------------------
 # canonical key
-
-
-def _discover(s0: tuple[int, ...], order: list[int], seen: set[int]) -> None:
-    """Extend ``order`` from its last half-edge to its closure under the
-    discovery walk: from each discovered half-edge, first its vertex-cycle
-    successor ``s0[h]``, then its edge partner ``h ^ 1``."""
-    i = len(order) - 1
-    while i < len(order):
-        h = order[i]
-        for nb in (s0[h], h ^ 1):
-            if nb not in seen:
-                seen.add(nb)
-                order.append(nb)
-        i += 1
 
 
 def _relabelled(s0: tuple[int, ...],
@@ -83,60 +78,81 @@ def _serialize(g: StableRibbonGraph, order: list[int]) -> tuple:
     return (sig0, sig1, tuple(vid), defects)
 
 
-def _traversals(g: StableRibbonGraph, root: int):
-    """Yield ``(discovery order, serialization)`` for every branch-decision
-    path from ``root``.
+def _forks(g: StableRibbonGraph, order: list[int], pos: list[int]):
+    """The traversals that continue ``order`` once its discovery walk is
+    exhausted with half-edges left: the split structure is disconnected,
+    so they enter every unvisited cycle of the earliest discovered vertex
+    that has one, at each of its half-edges in cycle order."""
+    vert = g.vertex_of
+    for h in order:
+        cycs = [c for c in g.vertices[vert[h]].cycles if pos[c[0]] < 0]
+        if cycs:
+            break
+    else:
+        raise AssertionError("stable graph traversal stuck (disconnected?)")
+    i = len(order)
+    for cyc in cycs:
+        for start in cyc:
+            fork = pos.copy()
+            fork[start] = i
+            yield order + [start], fork
 
-    The traversal discovers half-edges in a deterministic order given the
-    root: from each discovered half-edge, first its vertex-cycle successor,
-    then its edge partner.  When that closure is exhausted but cycles
-    remain at an already-seen vertex (the split structure is disconnected),
-    the traversal branches over the possible entry points at the earliest
-    discovered such vertex.
+
+def _least_traversals(g: StableRibbonGraph) -> tuple[tuple, list[list[int]]]:
+    """The least unlabelled serialization and every traversal order that
+    attains it, in search order.
+
+    A traversal starts at a root half-edge; from each discovered half-edge
+    it discovers first its vertex-cycle successor ``s0[h]``, then its edge
+    partner ``h ^ 1``, and when that walk is exhausted with half-edges left
+    it forks (:func:`_forks`).  Search order is root order, then fork
+    order.  All traversals advance in lockstep: step ``i`` processes
+    ``order[i]``, which fixes ``sig0[i]``, the position of ``s0[order[i]]``,
+    and only those with the least ``sig0`` prefix survive it.  The
+    survivors are serialized in full.
     """
     n = g.num_half_edges
     s0 = g.sigma0
-    vert = g.vertex_of
-
-    def run(order: list[int], seen: set[int]):
-        _discover(s0, order, seen)
-        if len(order) == n:
-            yield order, _serialize(g, order)
-            return
-        # earliest-discovered vertex that still has unvisited cycles
-        target = None
-        for h in order:
-            v = vert[h]
-            if any(c[0] not in seen for c in g.vertices[v].cycles):
-                target = v
-                break
-        if target is None:
-            raise AssertionError("stable graph traversal stuck (disconnected?)")
-        for cyc in g.vertices[target].cycles:
-            if cyc[0] in seen:
-                continue
-            for start in cyc:
-                yield from run(order + [start], seen | {start})
-
-    yield from run([root], {root})
+    live = []
+    for root in range(n):
+        pos = [-1] * n
+        pos[root] = 0
+        live.append(([root], pos))
+    for i in range(n):
+        least, survivors = n, []
+        for parent in live:
+            # a walk exhausted with half-edges left forks before step i
+            children = _forks(g, *parent) if i == len(parent[0]) else (parent,)
+            for order, pos in children:
+                h = order[i]
+                for nb in (s0[h], h ^ 1):
+                    if pos[nb] < 0:
+                        pos[nb] = len(order)
+                        order.append(nb)
+                step = pos[s0[h]]
+                if step < least:
+                    least, survivors = step, [(order, pos)]
+                elif step == least:
+                    survivors.append((order, pos))
+        live = survivors
+    sers = [_serialize(g, order) for order, _ in live]
+    best = min(sers)
+    return best, [order for (order, _), ser in zip(live, sers) if ser == best]
 
 
 def _least_serialization(g: StableRibbonGraph,
                          labelled: bool) -> tuple[tuple, list[list[int]]]:
     """The minimum serialization over every root and traversal, with every
     traversal order that attains it, in search order.  The result is
-    remembered per instance and per ``labelled`` flag; the labelled one is
-    read off the unlabelled one (see the module docstring)."""
+    remembered per instance and per ``labelled`` flag.  The unlabelled one
+    comes from the lockstep search :func:`_least_traversals`, whose pruning
+    by ``sigma0`` prefixes is exact because ``sigma0`` leads the
+    serialization with length 2E in every traversal; the labelled one is
+    read off it (see the module docstring)."""
     g.require_valid(require_stability=False)
     memo = g.__dict__.setdefault("_least", {})
     if False not in memo:
-        best, orders = None, []
-        for root in range(g.num_half_edges):
-            for order, ser in _traversals(g, root):
-                if best is None or ser < best:
-                    best, orders = ser, [order]
-                elif ser == best:
-                    orders.append(order)
+        best, orders = _least_traversals(g)
         memo[False] = best + ((),), orders
     if labelled and True not in memo:
         best, orders = memo[False]

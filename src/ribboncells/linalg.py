@@ -13,7 +13,10 @@ Vector = list[Fraction]
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    """A fresh copy of ``rows``, which the callers mutate; ``Fraction``
+    entries are immutable and kept as they are, others converted."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in rows]
 
 
 def row_reduce(rows: Sequence[Sequence], rhs: Sequence[Sequence] | None = None):

@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from . import permgraph
 from .cells import (PolygonFiber, cell_polytope,
@@ -73,22 +74,23 @@ def _suite_contraction(report: SuiteReport, rng: random.Random, cases):
         g = random_stable_graph(rng, max_edges=8)
         report.cases += 1
         before = (permgraph.genus(g), sorted(w.label for w in faces(g)))
-        for e in contractible_edges(g):
-            h = contract_edge(g, e)
+        edges = contractible_edges(g)
+        # each single contraction, reused as the first step of every pair
+        once = {e: contract_edge(g, e) for e in edges}
+        for e, h in once.items():
             after = (permgraph.genus(h), sorted(w.label for w in faces(h)))
             if after != before or h.num_edges != g.num_edges - 1:
                 report.failures.append({
                     "law": "conservation", "edge": e,
                     "graph": permgraph.to_json_dict(g)})
-        pairs = [(e, f) for e in contractible_edges(g)
-                 for f in contractible_edges(g) if e < f]
-        for e, f in pairs:
+        for e, f in combinations(edges, 2):
             try:
                 bulk = contract_set(g, {e, f})
             except ContractionError:
                 continue
-            a = contract_edge(contract_edge(g, e), f - (1 if f > e else 0))
-            b = contract_edge(contract_edge(g, f), e - (1 if e > f else 0))
+            # e < f, so contracting e shifts f down by one
+            a = contract_edge(once[e], f - 1)
+            b = contract_edge(once[f], e)
             if not (canonical_key(a) == canonical_key(b) == canonical_key(bulk)):
                 report.failures.append({
                     "law": "commutativity", "edges": [e, f],
@@ -106,8 +108,6 @@ def _random_poly(rng, nvars, max_deg=3):
 
 
 def _random_form(rng, nvars, degree):
-    from itertools import combinations
-
     comps = {}
     for idx in combinations(range(nvars), degree):
         if rng.random() < 0.75:
@@ -116,6 +116,8 @@ def _random_form(rng, nvars, degree):
 
 
 def _stokes_corpus():
+    """Each complex of the corpus with the chain of its whole polytopes,
+    triangulated once."""
     from .polyform import Gluing, PolytopalComplex, AffineMap, HalfSpace
 
     square = Polytope.from_bounds([(0, 1), (0, 1)])
@@ -131,10 +133,14 @@ def _stokes_corpus():
         [Gluing("edge", "right", AffineMap.create([[0], [1]], [0, 0])),
          Gluing("edge", "left", AffineMap.create([[0], [1]], [0, 0]))])
     return {
-        "square": PolytopalComplex({"sq": square}, []),
-        "cube": PolytopalComplex({"cube": cube}, []),
-        "triangle": PolytopalComplex({"tri": tri}, []),
-        "two-squares": two,
+        "square": (PolytopalComplex({"sq": square}, []),
+                   polytope_chain("sq", square)),
+        "cube": (PolytopalComplex({"cube": cube}, []),
+                 polytope_chain("cube", cube)),
+        "triangle": (PolytopalComplex({"tri": tri}, []),
+                     polytope_chain("tri", tri)),
+        "two-squares": (two, polytope_chain("right", right)
+                        + polytope_chain("left", left)),
     }
 
 
@@ -145,7 +151,7 @@ def _suite_stokes(report: SuiteReport, rng: random.Random, cases):
     for _ in range(cases):
         report.cases += 1
         name = names[rng.randrange(len(names))]
-        cx = corpus[name]
+        cx, whole = corpus[name]
         if name == "two-squares":
             shared = _random_poly(rng, 1)
             lift = shared.subst([Polynomial.variable(1, 2)])
@@ -153,15 +159,14 @@ def _suite_stokes(report: SuiteReport, rng: random.Random, cases):
                 "right": Form(2, 1, {(0,): _random_poly(rng, 2), (1,): lift}),
                 "left": Form(2, 1, {(0,): _random_poly(rng, 2), (1,): lift}),
                 "edge": Form(1, 1, {(0,): shared})})
-            chain = polytope_chain("right", cx.polytopes["right"]) + \
-                polytope_chain("left", cx.polytopes["left"])
+            chain = whole
         else:
             pname, poly = next(iter(cx.polytopes.items()))
             d = poly.dim
             deg = rng.randint(1, d)
             form = FormOnComplex(cx, deg - 1, {pname: _random_form(rng, d, deg - 1)})
             if deg == d:
-                chain = polytope_chain(pname, poly)
+                chain = whole
             else:
                 # random simplicial pieces inside the polytope (for the
                 # triangle, coordinates up to 1/2 keep the sum below 1)

@@ -168,6 +168,16 @@ class TestIntersectCmd:
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
 
+    @pytest.mark.parametrize("args, token", [
+        (["--genus", "1", "--d", "x"], "'x'"),
+        (["--genus", "0", "--d", "0,0,0", "--perimeters", "1,y,3"], "'y'"),
+        (["--genus", "0", "--d", "0,0,0", "--perimeters", "1/0,2,3"], "'1/0'")])
+    def test_malformed_list_names_the_entry(self, capsys, args, token):
+        assert main(["intersect", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and token in captured.err
+        assert captured.out == ""
+
     def test_wall_perimeters_in_a_fresh_process(self):
         # 22 = 3 + 19: both zero-dimensional cells touch the wall
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -198,6 +208,13 @@ class TestCheckCmd:
         assert main(["check", "--suite", "alpha", "--seed", "5",
                      "--cases", "20"]) == 0
         assert "alpha: 20 cases, ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_cases_below_one_rejected(self, capsys, cases):
+        assert main(["check", "--suite", "alpha", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and "--cases" in captured.err
+        assert captured.out == ""
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -199,24 +199,26 @@ class TestGrowth:
     def test_no_search_after_the_unlabelled_classes(self, monkeypatch, g, n):
         """The labelled keys and the automorphism groups of the classes
         reuse the searches that deduplicated the unlabelled classes."""
-        state = {"grown": False, "late": 0}
-        traversals = enumeration._traversals
+        state = {"grown": False, "early": 0, "late": 0}
+        search = enumeration._least_traversals
         unlabelled = enumeration._unlabelled_classes
 
         def counting(*args):
-            state["late"] += state["grown"]
-            return traversals(*args)
+            state["late" if state["grown"] else "early"] += 1
+            return search(*args)
 
         def marking(*args):
             out = unlabelled(*args)
             state["grown"] |= args == (g, n)
             return out
 
-        monkeypatch.setattr(enumeration, "_traversals", counting)
+        monkeypatch.setattr(enumeration, "_least_traversals", counting)
         monkeypatch.setattr(enumeration, "_unlabelled_classes", marking)
         for c in enumerate_trivalent(g, n):
             automorphisms(c.graph)
-        assert state["grown"] and state["late"] == 0
+        # the growth searched, so the count can see a late search
+        assert state["grown"] and state["early"] > 0
+        assert state["late"] == 0
 
     @pytest.mark.parametrize("g, n", [(2, 1), (1, 3), (0, 5)])
     def test_nine_edge_classes_are_trivalent(self, g, n):
@@ -224,6 +226,121 @@ class TestGrowth:
             assert c.graph.num_edges == 9
             assert c.graph.is_trivalent()
             assert genus(c.graph) == g and c.graph.num_faces == n
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive canonical search, kept as the reference for the lockstep one
+
+
+def _discover(s0: tuple[int, ...], order: list[int], seen: set[int]) -> None:
+    """Extend ``order`` from its last half-edge to its closure under the
+    discovery walk: from each discovered half-edge, first its vertex-cycle
+    successor ``s0[h]``, then its edge partner ``h ^ 1``."""
+    i = len(order) - 1
+    while i < len(order):
+        h = order[i]
+        for nb in (s0[h], h ^ 1):
+            if nb not in seen:
+                seen.add(nb)
+                order.append(nb)
+        i += 1
+
+
+def _traversals(g: StableRibbonGraph, root: int):
+    """Yield ``(discovery order, serialization)`` for every branch-decision
+    path from ``root``.
+
+    The traversal discovers half-edges in a deterministic order given the
+    root: from each discovered half-edge, first its vertex-cycle successor,
+    then its edge partner.  When that closure is exhausted but cycles
+    remain at an already-seen vertex (the split structure is disconnected),
+    the traversal branches over the possible entry points at the earliest
+    discovered such vertex.
+    """
+    n = g.num_half_edges
+    s0 = g.sigma0
+    vert = g.vertex_of
+
+    def run(order: list[int], seen: set[int]):
+        _discover(s0, order, seen)
+        if len(order) == n:
+            yield order, enumeration._serialize(g, order)
+            return
+        # earliest-discovered vertex that still has unvisited cycles
+        target = None
+        for h in order:
+            v = vert[h]
+            if any(c[0] not in seen for c in g.vertices[v].cycles):
+                target = v
+                break
+        if target is None:
+            raise AssertionError("stable graph traversal stuck (disconnected?)")
+        for cyc in g.vertices[target].cycles:
+            if cyc[0] in seen:
+                continue
+            for start in cyc:
+                yield from run(order + [start], seen | {start})
+
+    yield from run([root], {root})
+
+
+def reference_least_traversals(g):
+    """Every traversal in full, then the minimum and its ties in search
+    order."""
+    best, orders = None, []
+    for root in range(g.num_half_edges):
+        for order, ser in _traversals(g, root):
+            if best is None or ser < best:
+                best, orders = ser, [order]
+            elif ser == best:
+                orders.append(order)
+    return best, orders
+
+
+def first_least_only(g):
+    """Negative control: the lockstep search keeping only its first least
+    traversal."""
+    best, orders = enumeration._least_traversals(g)
+    return best, orders[:1]
+
+
+def search_outcome(g, search):
+    """Both keys, both lists of least orders and the automorphism elements
+    of a copy of ``g`` whose unlabelled search is ``search``."""
+    copy = StableRibbonGraph(g.half_edges, g.vertices, g.face_labels)
+    best, orders = search(copy)
+    copy.__dict__["_least"] = {False: (best + ((),), orders)}
+    return (canonical_key(copy, labelled=False), canonical_key(copy),
+            enumeration._least_serialization(copy, False)[1],
+            enumeration._least_serialization(copy, True)[1],
+            automorphisms(copy).elements)
+
+
+class TestLockstepSearch:
+    """The lockstep search drops only traversals that serialize strictly
+    above the least, so it agrees with the exhaustive one in every
+    output, ties and their order included."""
+
+    def test_random_stable_graphs(self):
+        rng = random.Random(31)
+        graphs = [random_stable_graph(rng, max_edges=9) for _ in range(1000)]
+        # the forks at multi-cycle vertices are exercised
+        assert sum(any(len(v.cycles) > 1 for v in g.vertices)
+                   for g in graphs) > 300
+        for g in graphs:
+            assert search_outcome(g, enumeration._least_traversals) \
+                == search_outcome(g, reference_least_traversals)
+
+    @pytest.mark.parametrize("g, n", [(g, n) for g, n, _, _ in CLASS_COUNTS])
+    def test_trivalent_classes(self, g, n):
+        for c in trivalent_classes(g, n):
+            assert search_outcome(c.graph, enumeration._least_traversals) \
+                == search_outcome(c.graph, reference_least_traversals)
+
+    def test_first_least_only_is_caught(self, theta):
+        assert automorphisms(theta).order > 1
+        assert search_outcome(theta, first_least_only) \
+            != search_outcome(theta, reference_least_traversals)
 
 
 def kontsevich_sides(classes, g, n, lam):
