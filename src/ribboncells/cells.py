@@ -30,13 +30,11 @@ from itertools import combinations
 from math import factorial, lcm
 from typing import Sequence
 
-from .enumeration import canonical_key
 from .linalg import det, row_reduce, solve_affine
 from .permgraph import FaceWord, StableRibbonGraph, faces
 from .polyform import (AffineMap, Form, FormOnComplex, Gluing, HalfSpace,
                        Morphism, MorphismMap, Polynomial, Polytope,
                        PolytopalComplex)
-from .stable import contract_edge, contractible_edges
 
 
 @dataclass(frozen=True)
@@ -416,13 +414,3 @@ def polygon_bundle(cell: CellPolytope, face_label: int) -> PolygonBundle:
     return PolygonBundle(cell=cell, face=face, complex=total, alpha=alpha,
                          base=base, projection=projection,
                          fiber_directions=dirs)
-
-
-def boundary_cells(g: StableRibbonGraph) -> list[tuple[int, StableRibbonGraph, bytes]]:
-    """All admissible single-edge contractions with the face-label
-    preserving identification, as (edge, contracted graph, class key)."""
-    out = []
-    for e in contractible_edges(g):
-        child = contract_edge(g, e)
-        out.append((e, child, canonical_key(child)))
-    return out

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
 reports an invalid graph (``stable: False`` and its first violation) and
 still exits 0; an unreadable or malformed file exits 2, and so do a
-malformed number list and ``check --cases`` below 1.  Usage errors print
-``usage error: ...`` on stderr.  All randomness is seedable.
+malformed number list and ``check --cases`` or ``--jobs`` below 1.  Usage
+errors print ``usage error: ...`` on stderr.  All randomness is seedable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from . import permgraph, serialize
 from .cells import cell_polytope
 from .enumeration import (SizeGuardError, automorphisms, enumerate_cells,
                           enumerate_trivalent)
-from .intersect import OrientationError, QueryError, intersection_number
+from .intersect import (OrientationError, QueryError, check_p_independence,
+                        intersection_number, make_query)
 from .model0 import INFINITY, PointConfig, QQi, full_map
 from .permgraph import faces, genus, validate
 from .stable import ContractionError, contract_set
@@ -177,15 +178,12 @@ def cmd_cells(args) -> int:
 def cmd_intersect(args) -> int:
     d = _parse_int_list(args.d)
     p = _parse_fraction_list(args.perimeters) if args.perimeters else None
-    result = intersection_number(args.genus, d, p)
     if args.check_p_independence:
-        q = result.query
-        shifted = [x + Fraction(1, 97 + i) for i, x in enumerate(q.perimeters)]
-        other = intersection_number(args.genus, d, shifted)
-        if other.value != result.value:
-            print(f"p-independence FAILED: {result.value} vs {other.value}",
-                  file=sys.stderr)
-            return 1
+        base = make_query(args.genus, d, p).perimeters
+        shifted = [x + Fraction(1, 97 + i) for i, x in enumerate(base)]
+        result = check_p_independence(args.genus, d, [base, shifted])[0]
+    else:
+        result = intersection_number(args.genus, d, p)
     if args.ledger:
         ledger = {
             "genus": args.genus,
@@ -238,6 +236,8 @@ def cmd_model0(args) -> int:
 def cmd_check(args) -> int:
     if args.cases is not None and args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and args.suite == "all":
         import multiprocessing as mp
 
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ContractionError, QueryError, OrientationError, SizeGuardError,
-            permgraph.InvalidGraphError) as exc:
+            permgraph.InvalidGraphError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .permgraph import StableRibbonGraph, cycles, ordinary_graph
+from .stable import contract_edge, contractible_edges
 
 
 class SizeGuardError(ValueError):
@@ -328,11 +329,19 @@ class CellComplexSummary:
     top_keys: list[bytes]
 
 
+def boundary_cells(g: StableRibbonGraph) -> list[tuple[int, StableRibbonGraph, bytes]]:
+    """All admissible single-edge contractions with the face-label
+    preserving identification, as (edge, contracted graph, class key)."""
+    out = []
+    for e in contractible_edges(g):
+        child = contract_edge(g, e)
+        out.append((e, child, canonical_key(child)))
+    return out
+
+
 def enumerate_cells(g: int, n: int) -> CellComplexSummary:
     """All stable ribbon graph classes reachable from the trivalent top
     cells by admissible contractions, with the boundary relation."""
-    from .stable import contract_edge, contractible_edges
-
     tops = enumerate_trivalent(g, n)
     classes = {c.key: c for c in tops}
     boundary = []
@@ -340,10 +349,7 @@ def enumerate_cells(g: int, n: int) -> CellComplexSummary:
     while frontier:
         next_frontier = []
         for key in frontier:
-            graph = classes[key].graph
-            for e in contractible_edges(graph):
-                child = contract_edge(graph, e)
-                ck = canonical_key(child)
+            for e, child, ck in boundary_cells(classes[key].graph):
                 boundary.append((key, e, ck))
                 if ck not in classes:
                     classes[ck] = GraphClass(key=ck, graph=child)

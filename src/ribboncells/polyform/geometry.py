@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -135,10 +136,15 @@ class Polytope:
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
         """Vertices of the closure, by exhausting dim-subsets of tight
-        constraints; exact and quadratic-ish in the constraint count."""
+        constraints; exact and quadratic-ish in the constraint count.
+        Enumerated once per instance; each call returns a fresh list."""
+        return list(self._vertices)
+
+    @cached_property
+    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         d = self.dim
         if d == 0:
-            return [()]
+            return ((),)
         out = []
         seen = set()
         for subset in combinations(range(len(self.halfspaces)), d):
@@ -153,7 +159,7 @@ class Polytope:
             if all(h.value(x) >= 0 for h in self.halfspaces):
                 seen.add(key)
                 out.append(key)
-        return sorted(out)
+        return tuple(sorted(out))
 
     def is_bounded(self) -> bool:
         """The recession cone of the closure is trivial."""

@@ -1,26 +1,18 @@
-"""JSON formats for the exact objects: rationals as "num/den" strings,
-polytopes as H-descriptions, forms as sparse monomial lists, plus chains,
-complexes, and cells."""
+"""JSON formats the ``cells`` and ``intersect --ledger`` outputs write:
+rationals as "num/den" strings, polytopes as H-descriptions, and cells."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from .cells import CellPolytope
-from .polyform import (AffineMap, Chain, Form, FormOnComplex, Gluing,
-                       HalfSpace, Piece, Polynomial, Polytope,
-                       PolytopalComplex)
+from .polyform import Polytope
 from . import permgraph
 
 
 def rat(x: Fraction) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def unrat(s) -> Fraction:
-    return Fraction(s)
 
 
 def polytope_to_json(p: Polytope) -> dict:
@@ -31,94 +23,6 @@ def polytope_to_json(p: Polytope) -> dict:
              "strict": h.strict}
             for h in p.halfspaces],
     }
-
-
-def polytope_from_json(d: Mapping) -> Polytope:
-    return Polytope(int(d["dim"]), tuple(
-        HalfSpace(tuple(unrat(c) for c in h["coeffs"]), unrat(h["const"]),
-                  bool(h["strict"]))
-        for h in d["halfspaces"]))
-
-
-def poly_to_json(p: Polynomial) -> list:
-    return [{"exps": list(e), "coeff": rat(c)}
-            for e, c in sorted(p.terms.items())]
-
-
-def poly_from_json(terms: list, nvars: int) -> Polynomial:
-    return Polynomial(nvars, {tuple(t["exps"]): unrat(t["coeff"])
-                              for t in terms})
-
-
-def form_to_json(f: Form) -> dict:
-    return {
-        "nvars": f.nvars,
-        "degree": f.degree,
-        "terms": [{"indices": list(idx), "poly": poly_to_json(p)}
-                  for idx, p in sorted(f.comps.items())],
-    }
-
-
-def form_from_json(d: Mapping) -> Form:
-    nvars = int(d["nvars"])
-    return Form(nvars, int(d["degree"]),
-                {tuple(t["indices"]): poly_from_json(t["poly"], nvars)
-                 for t in d["terms"]})
-
-
-def affine_to_json(m: AffineMap) -> dict:
-    return {"matrix": [[rat(x) for x in row] for row in m.matrix],
-            "offset": [rat(x) for x in m.offset],
-            "in_dim": m.in_dim}
-
-
-def affine_from_json(d: Mapping) -> AffineMap:
-    return AffineMap.create([[unrat(x) for x in row] for row in d["matrix"]],
-                            [unrat(x) for x in d["offset"]],
-                            in_dim=int(d["in_dim"]))
-
-
-def complex_to_json(cx: PolytopalComplex) -> dict:
-    return {
-        "polytopes": {name: polytope_to_json(p)
-                      for name, p in sorted(cx.polytopes.items())},
-        "gluings": [{"src": g.src, "dst": g.dst,
-                     "embed": affine_to_json(g.embed)}
-                    for g in cx.gluings],
-    }
-
-
-def complex_from_json(d: Mapping) -> PolytopalComplex:
-    return PolytopalComplex(
-        {name: polytope_from_json(p) for name, p in d["polytopes"].items()},
-        [Gluing(g["src"], g["dst"], affine_from_json(g["embed"]))
-         for g in d["gluings"]])
-
-
-def form_on_complex_to_json(f: FormOnComplex) -> dict:
-    return {"degree": f.degree,
-            "forms": {name: form_to_json(v) for name, v in sorted(f.forms.items())}}
-
-
-def form_on_complex_from_json(cx: PolytopalComplex, d: Mapping) -> FormOnComplex:
-    return FormOnComplex(cx, int(d["degree"]),
-                         {name: form_from_json(v)
-                          for name, v in d["forms"].items()})
-
-
-def chain_to_json(c: Chain) -> dict:
-    return {"degree": c.degree,
-            "pieces": [{"coeff": rat(coeff), "polytope": piece.polytope,
-                        "vertices": [[rat(x) for x in v] for v in piece.vertices]}
-                       for coeff, piece in c.terms]}
-
-
-def chain_from_json(d: Mapping) -> Chain:
-    return Chain(int(d["degree"]),
-                 [(unrat(t["coeff"]),
-                   Piece.create(t["polytope"],
-                                [[unrat(x) for x in v] for v in t["vertices"]]))
-                  for t in d["pieces"]])
 
 
 def cell_to_json(cell: CellPolytope) -> dict:

@@ -47,7 +47,10 @@ class SuiteReport:
 
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> list[SuiteReport]:
-    """Run one property suite (or all of them); deterministic per seed."""
+    """Run one property suite (or all of them); deterministic per seed.
+    ``cases`` of ``None`` runs each suite's default count."""
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     if name == "all":
         return [run_suite(s, seed, cases)[0] for s in SUITE_NAMES]
     runner = {

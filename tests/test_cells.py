@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ribboncells.cells import (PolygonFiber, boundary_cells, cell_polytope,
+from ribboncells.cells import (PolygonFiber, cell_polytope,
                                fiber_integral_alpha, incidence_matrix,
                                polygon_bundle, scaled_fiber)
-from ribboncells.enumeration import enumerate_cells, enumerate_trivalent
+from ribboncells.enumeration import (boundary_cells, enumerate_cells,
+                                     enumerate_trivalent)
 from ribboncells.linalg import rank, solve_affine
 from ribboncells.permgraph import faces, perimeters
 from ribboncells.polyform import (HalfSpace, Polytope, integrate,

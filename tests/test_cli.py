@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ribboncells import ordinary_graph, permgraph
+from ribboncells import intersect, ordinary_graph, permgraph
 from ribboncells.cli import main
 
 
@@ -165,6 +166,19 @@ class TestIntersectCmd:
         assert main(["intersect", "--genus", "0", "--d", "0,0,0",
                      "--check-p-independence"]) == 0
 
+    def test_p_independence_flag_catches_dependence(self, monkeypatch, capsys):
+        real = intersect.intersection_number
+
+        def skewed(genus, exponents, perimeters=None):
+            r = real(genus, exponents, perimeters)
+            return dataclasses.replace(r, value=r.value + sum(r.query.perimeters))
+
+        monkeypatch.setattr(intersect, "intersection_number", skewed)
+        assert main(["intersect", "--genus", "0", "--d", "0,0,0",
+                     "--check-p-independence"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
 
@@ -215,6 +229,25 @@ class TestCheckCmd:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error:") and "--cases" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        assert main(["check", "--suite", "alpha", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and "--jobs" in captured.err
+        assert captured.out == ""
+
+    def test_parallel_report_matches_serial(self, tmp_path, capsys):
+        reports = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.json"
+            assert main(["check", "--suite", "all", "--cases", "2",
+                         "--jobs", jobs, "--report", str(path)]) == 0
+            report = json.loads(path.read_text())
+            for r in report:
+                r.pop("wall_time")
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

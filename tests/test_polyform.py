@@ -9,6 +9,7 @@ from ribboncells.polyform import (AffineMap, Chain, Form, FormOnComplex,
                                   integrate, polytope_chain, product_complex,
                                   simplex_integral, stokes_check, triangulate,
                                   validate_form, volume)
+from ribboncells.polyform import geometry
 
 F = Fraction
 
@@ -348,9 +349,14 @@ class TestConeHomotopy:
 
 
 class TestGeometry:
-    def test_square_vertices(self):
-        vs = unit_square().vertices()
+    def test_square_vertices(self, monkeypatch):
+        square = unit_square()
+        vs = square.vertices()
         assert sorted(vs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        # enumerated once per polytope; a caller's edits do not reach the memo
+        vs.clear()
+        monkeypatch.setattr(geometry, "solve_unique", None)
+        assert sorted(square.vertices()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_volume_cube(self):
         for d in (1, 2, 3, 4):

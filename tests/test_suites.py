@@ -1,3 +1,5 @@
+import pytest
+
 from ribboncells import suites
 from ribboncells.suites import run_suite
 
@@ -31,3 +33,10 @@ def test_stokes_triangulates_each_polytope_once(monkeypatch):
     (report,) = run_suite("stokes", seed=4, cases=40)
     assert report.ok and report.cases == 40
     assert sorted(calls) == ["cube", "left", "right", "sq", "tri"]
+
+
+@pytest.mark.parametrize("name", ["alpha", "all"])
+@pytest.mark.parametrize("cases", [0, -1])
+def test_cases_below_one_rejected(name, cases):
+    with pytest.raises(ValueError, match="cases"):
+        run_suite(name, seed=0, cases=cases)
