@@ -304,23 +304,17 @@ def scaled_fiber(fiber: PolygonFiber, scale) -> PolygonFiber:
 class PolygonBundle:
     """The polygon bundle of one face over a cell: a polytopal complex in
     coordinates (chart of the cell, t) with the connection form, plus the
-    projection morphism to the cell."""
+    projection morphism to the cell, whose target is the base complex."""
 
     cell: CellPolytope
     face: FaceWord
     complex: PolytopalComplex
     alpha: FormOnComplex
-    base: PolytopalComplex
     projection: Morphism
     fiber_directions: dict
 
     def arc_names(self) -> list[str]:
         return [n for n in self.complex.polytopes if n.startswith("arc")]
-
-
-def _side_charts(cell: CellPolytope, face: FaceWord):
-    """Affine (coeffs, const) of each face-word side in the cell chart."""
-    return [cell.edge_charts[e] for e in face.edges]
 
 
 def polygon_bundle(cell: CellPolytope, face_label: int) -> PolygonBundle:
@@ -333,84 +327,62 @@ def polygon_bundle(cell: CellPolytope, face_label: int) -> PolygonBundle:
     k = face.degree
     p = cell.perimeters[face_label - 1]
 
-    sides = _side_charts(cell, face)
-    lam = list(reversed(sides))  # traversal order of t
-    # vertex positions q_m(x), affine in the chart; q_{k+1} = p exactly
-    qs = [(tuple(Fraction(0) for _ in range(d)), Fraction(0))]
-    for coeffs, const in lam[:-1]:
+    # side lengths in traversal order of t, affine in the chart
+    lam = [cell.edge_charts[e] for e in reversed(face.edges)]
+    # vertex positions q_0 = 0, ..., q_k = p, affine in the chart
+    qs = [((Fraction(0),) * d, Fraction(0))]
+    for coeffs, const in lam:
         prev_c, prev_k = qs[-1]
         qs.append((tuple(a + b for a, b in zip(prev_c, coeffs)), prev_k + const))
-    q_top = tuple(
-        sum((lam[m][0][j] for m in range(k)), Fraction(0)) for j in range(d))
-    q_top_const = sum((lam[m][1] for m in range(k)), Fraction(0))
-    if any(c != 0 for c in q_top) or q_top_const != p:
+    if qs[k] != ((Fraction(0),) * d, p):
         raise AssertionError("side lengths do not add up to the perimeter")
-    qs.append(((Fraction(0),) * d, p))
+    # the cell at t = q_j(x), one embedding per vertex position
+    eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    at = [AffineMap.create(eye + [list(c)], [Fraction(0)] * d + [const], in_dim=d)
+          for c, const in qs]
 
-    cell_hs = list(cell.polytope.halfspaces)
-    lifted = [HalfSpace(h.coeffs + (Fraction(0),), h.const, h.strict)
-              for h in cell_hs]
-
+    lifted = tuple(HalfSpace(h.coeffs + (Fraction(0),), h.const, h.strict)
+                   for h in cell.polytope.halfspaces)
     polys = {}
     gluings = []
-    embeds = {}
     for m in range(1, k + 1):
-        lo_c, lo_k = qs[m - 1]
-        hi_c, hi_k = qs[m]
-        hs = list(lifted)
+        (lo_c, lo_k), (hi_c, hi_k) = qs[m - 1], qs[m]
         # q_{m-1}(x) <= t <= q_m(x)
-        hs.append(HalfSpace(tuple(-c for c in lo_c) + (Fraction(1),), -lo_k))
-        hs.append(HalfSpace(hi_c + (Fraction(-1),), hi_k))
-        polys[f"arc{m}"] = Polytope(d + 1, tuple(hs))
+        polys[f"arc{m}"] = Polytope(d + 1, lifted + (
+            HalfSpace(tuple(-c for c in lo_c) + (Fraction(1),), -lo_k),
+            HalfSpace(hi_c + (Fraction(-1),), hi_k)))
     for m in range(1, k + 1):
         polys[f"cut{m}"] = cell.polytope
-        c, const = qs[m - 1]
-        rows = [[Fraction(1) if j == i else Fraction(0) for j in range(d)]
-                for i in range(d)]
-        rows.append(list(c))
-        embed = AffineMap.create(rows, [Fraction(0)] * d + [const], in_dim=d)
-        embeds[(m, "lo")] = embed
-        gluings.append(Gluing(f"cut{m}", f"arc{m}", embed))
+        gluings.append(Gluing(f"cut{m}", f"arc{m}", at[m - 1]))
+        # the cut closing arc m - 1, or arc k at t = p
         prev = m - 1 if m > 1 else k
-        c2, const2 = qs[m - 1] if m > 1 else qs[k]
-        rows2 = [[Fraction(1) if j == i else Fraction(0) for j in range(d)]
-                 for i in range(d)]
-        rows2.append(list(c2))
-        embed2 = AffineMap.create(rows2, [Fraction(0)] * d + [const2], in_dim=d)
-        embeds[(m, "hi")] = embed2
-        gluings.append(Gluing(f"cut{m}", f"arc{prev}", embed2))
+        gluings.append(Gluing(f"cut{m}", f"arc{prev}", at[prev]))
     total = PolytopalComplex(polys, gluings)
 
-    # the connection form, arc by arc, from the sorted-distance definition
-    forms = {}
+    # the connection form from the sorted-distance definition; it is the
+    # same on every arc, since the wrap constant has zero differential
+    connection = Form.zero(d + 1, 1)
+    for (lam_c, lam_k), (q_c, _) in zip(lam, qs):
+        # phi_j = q_j - t (+ p when the vertex is behind the point)
+        dphi = Form(d + 1, 1, dict(
+            [((i,), Polynomial.constant(d + 1, q_c[i]))
+             for i in range(d) if q_c[i] != 0]
+            + [((d,), Polynomial.constant(d + 1, -1))]))
+        coeff = Polynomial.affine(list(lam_c) + [Fraction(0)], lam_k)
+        connection = connection + dphi * coeff * Fraction(1, p * p)
+    forms = {f"arc{m}": connection for m in range(1, k + 1)}
     for m in range(1, k + 1):
-        acc = Form.zero(d + 1, 1)
-        for j in range(1, k + 1):
-            lam_c, lam_k = lam[j - 1]
-            q_c, q_k = qs[j - 1]
-            # phi_j = q_j - t (+ p when the vertex is behind the point);
-            # the wrap constant has zero differential at fixed perimeter
-            dphi = Form(d + 1, 1, dict(
-                [((i,), Polynomial.constant(d + 1, q_c[i]))
-                 for i in range(d) if q_c[i] != 0]
-                + [((d,), Polynomial.constant(d + 1, -1))]))
-            coeff = Polynomial.affine(list(lam_c) + [Fraction(0)], lam_k)
-            acc = acc + dphi * coeff * Fraction(1, p * p)
-        forms[f"arc{m}"] = acc
-    for m in range(1, k + 1):
-        forms[f"cut{m}"] = forms[f"arc{m}"].pullback(embeds[(m, "lo")])
+        forms[f"cut{m}"] = connection.pullback(at[m - 1])
     alpha = FormOnComplex(total, 1, forms)
 
-    base = PolytopalComplex({"cell": cell.polytope}, [])
-    proj = AffineMap.create(
-        [[Fraction(1) if j == i else Fraction(0) for j in range(d + 1)]
-         for i in range(d)], [Fraction(0)] * d, in_dim=d + 1)
+    proj = AffineMap.create([row + [Fraction(0)] for row in eye],
+                            [Fraction(0)] * d, in_dim=d + 1)
     maps = []
     for m in range(1, k + 1):
         maps.append(MorphismMap(f"arc{m}", "cell", proj))
         maps.append(MorphismMap(f"cut{m}", "cell", AffineMap.identity(d)))
-    projection = Morphism(total, base, maps)
+    projection = Morphism(
+        total, PolytopalComplex({"cell": cell.polytope}, []), maps)
     dirs = {f"arc{m}": [0] * d + [1] for m in range(1, k + 1)}
     return PolygonBundle(cell=cell, face=face, complex=total, alpha=alpha,
-                         base=base, projection=projection,
-                         fiber_directions=dirs)
+                         projection=projection, fiber_directions=dirs)

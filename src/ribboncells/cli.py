@@ -215,13 +215,18 @@ def _parse_qqi(token: str) -> QQi | str:
         # split a+bi / a-bi at the sign separating the parts
         for k in range(1, len(body)):
             if body[k] in "+-" and body[k - 1] not in "+-/":
-                return QQi.of(Fraction(body[:k]), Fraction(body[k:] or "1"))
-        return QQi.of(0, Fraction(body or "1"))
+                return QQi.of(Fraction(body[:k]), _imaginary(body[k:]))
+        return QQi.of(0, _imaginary(body))
     return QQi.of(Fraction(token), 0)
 
 
+def _imaginary(coeff: str) -> Fraction:
+    """The coefficient of i; a bare sign (or nothing) stands for 1."""
+    return Fraction(coeff + "1" if coeff in ("", "+", "-") else coeff)
+
+
 def cmd_model0(args) -> int:
-    points = [_parse_qqi(t) for t in args.points.split(",")]
+    points = _parse_list(args.points, _parse_qqi)
     cfg = PointConfig.create(points)
     out = []
     for i, pt in enumerate(full_map(cfg), start=1):

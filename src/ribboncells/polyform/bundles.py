@@ -39,12 +39,11 @@ class Morphism:
     """A set of affine maps X -> Y between two complexes."""
 
     def __init__(self, source: PolytopalComplex, target: PolytopalComplex,
-                 maps: Sequence[MorphismMap], check: bool = True):
+                 maps: Sequence[MorphismMap]):
         self.source = source
         self.target = target
         self.maps = list(maps)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         covered = {m.src for m in self.maps}
@@ -91,6 +90,7 @@ class Morphism:
                                 f"maps on {src} send a point to unidentified "
                                 f"images in {a.dst} and {b.dst}")
 
+
 def _factor_through_face(f: AffineMap, embed: AffineMap) -> AffineMap | None:
     """Solve embed . g = f for g, exactly; None when f does not factor."""
     # columns of g's matrix and its offset each solve a linear system
@@ -108,14 +108,7 @@ def _factor_through_face(f: AffineMap, embed: AffineMap) -> AffineMap | None:
         return None
     matrix = [[cols[j][i] for j in range(f.source_dim)]
               for i in range(embed.source_dim)]
-    g = AffineMap.create(matrix, off, in_dim=f.source_dim)
-    # verify exactly (solve_unique can only fail on inconsistency)
-    if any(embed.compose(g).matrix[i][j] != f.matrix[i][j]
-           for i in range(f.target_dim) for j in range(f.source_dim)):
-        return None
-    if embed.compose(g).offset != f.offset:
-        return None
-    return g
+    return AffineMap.create(matrix, off, in_dim=f.source_dim)
 
 
 def fiber_chain(morphism: Morphism, base_polytope: str, base_point,

@@ -16,6 +16,7 @@ from typing import Sequence
 from .complexes import FormOnComplex, PolytopalComplex
 from .geometry import AffineMap, Polytope, triangulate
 from .poly import simplex_integral
+from ..linalg import det
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,11 @@ class Chain:
         return Chain(self.degree - 1, out)
 
 
-def polytope_chain(name: str, poly: Polytope, coeff=1) -> Chain:
+def polytope_chain(name: str, poly: Polytope) -> Chain:
     """Triangulate a bounded polytope into a chain of simplicial pieces,
     each oriented positively for the standard coordinate orientation (the
     vertex order is flipped when the parametrization determinant is
     negative)."""
-    from ..linalg import det
-
     pieces = []
     for simplex in triangulate(poly):
         if poly.dim >= 2:
@@ -103,7 +102,7 @@ def polytope_chain(name: str, poly: Polytope, coeff=1) -> Chain:
                 continue
             if sign < 0:
                 simplex = (simplex[0], simplex[2], simplex[1]) + simplex[3:]
-        pieces.append((Fraction(coeff), Piece.create(name, simplex)))
+        pieces.append((Fraction(1), Piece.create(name, simplex)))
     return Chain(poly.dim, pieces)
 
 

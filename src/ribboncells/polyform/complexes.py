@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .forms import Form
-from .geometry import AffineMap, Polytope
-from ..linalg import rank
+from .geometry import AffineMap, HalfSpace, Polytope
+from ..linalg import rank, solve_affine
 
 
 class ComplexError(ValueError):
@@ -41,12 +41,10 @@ class PolytopalComplex:
     face of one polytope.
     """
 
-    def __init__(self, polytopes: Mapping[str, Polytope], gluings=(),
-                 check: bool = True):
+    def __init__(self, polytopes: Mapping[str, Polytope], gluings=()):
         self.polytopes = dict(polytopes)
         self.gluings = list(gluings)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         seen_faces: dict[tuple[str, frozenset], str] = {}
@@ -138,7 +136,7 @@ class PolytopalComplex:
                     continue
                 src = self.polytopes[g.src]
                 pre = self._preimage(g.embed, point)
-                if pre is not None and src.contains(pre, closed=True):
+                if pre is not None and src.contains(pre):
                     name, point = g.src, pre
                     changed = True
                     break
@@ -146,8 +144,6 @@ class PolytopalComplex:
 
     @staticmethod
     def _preimage(embed: AffineMap, point):
-        from ..linalg import solve_affine
-
         rows = [list(r) for r in embed.matrix]
         rhs = [Fraction(p) - o for p, o in zip(point, embed.offset)]
         sol = solve_affine(rows, rhs)
@@ -193,8 +189,6 @@ class FormOnComplex:
 
 
 def product_polytope(a: Polytope, b: Polytope) -> Polytope:
-    from .geometry import HalfSpace
-
     hs = []
     for h in a.halfspaces:
         hs.append(HalfSpace(h.coeffs + (Fraction(0),) * b.dim, h.const, h.strict))
@@ -213,14 +207,13 @@ def product_map(f: AffineMap, g: AffineMap) -> AffineMap:
                      f.in_dim + g.in_dim)
 
 
-def product_complex(a: PolytopalComplex, b: PolytopalComplex,
-                    sep: str = "*") -> PolytopalComplex:
+def product_complex(a: PolytopalComplex, b: PolytopalComplex) -> PolytopalComplex:
     """The product complex: polytopes P*Q with all products of gluings
     (including identity factors, so that composite face relations close)."""
     polys = {}
     for pa, qa in a.polytopes.items():
         for pb, qb in b.polytopes.items():
-            polys[f"{pa}{sep}{pb}"] = product_polytope(qa, qb)
+            polys[f"{pa}*{pb}"] = product_polytope(qa, qb)
     gluings = []
     a_maps = [(g.src, g.dst, g.embed) for g in a.gluings] + \
              [(n, n, AffineMap.identity(p.dim)) for n, p in a.polytopes.items()]
@@ -230,7 +223,7 @@ def product_complex(a: PolytopalComplex, b: PolytopalComplex,
         for sb, db, mb in b_maps:
             if sa == da and sb == db:
                 continue
-            gluings.append(Gluing(f"{sa}{sep}{sb}", f"{da}{sep}{db}",
+            gluings.append(Gluing(f"{sa}*{sb}", f"{da}*{db}",
                                   product_map(ma, mb)))
     return PolytopalComplex(polys, gluings)
 

@@ -73,8 +73,8 @@ class Form:
         return Form(poly.nvars, 0, {(): poly})
 
     @staticmethod
-    def dx(i: int, nvars: int, coeff=1) -> "Form":
-        return Form(nvars, 1, {(i,): Polynomial.constant(nvars, coeff)})
+    def dx(i: int, nvars: int) -> "Form":
+        return Form(nvars, 1, {(i,): Polynomial.constant(nvars, 1)})
 
     # -- algebra ---------------------------------------------------------
 

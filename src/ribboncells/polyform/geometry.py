@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from ..linalg import det, nullspace, rank, solve_unique
+from ..linalg import det, nullspace, rank, solve_affine, solve_unique
 
 
 def _fr_tuple(xs) -> tuple[Fraction, ...]:
@@ -122,17 +122,9 @@ class Polytope:
             hs.append(HalfSpace.create(e2, Fraction(hi)))
         return Polytope(dim, tuple(hs))
 
-    def contains(self, x: Sequence, closed: bool = True) -> bool:
-        """Membership in the closure (``closed=True``) or in the polytope
-        itself, honouring strictness, otherwise."""
-        for h in self.halfspaces:
-            v = h.value(x)
-            if closed:
-                if v < 0:
-                    return False
-            elif v < 0 or (h.strict and v == 0):
-                return False
-        return True
+    def contains(self, x: Sequence) -> bool:
+        """Membership in the closure."""
+        return all(h.value(x) >= 0 for h in self.halfspaces)
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
         """Vertices of the closure, by exhausting dim-subsets of tight
@@ -162,7 +154,12 @@ class Polytope:
         return tuple(sorted(out))
 
     def is_bounded(self) -> bool:
-        """The recession cone of the closure is trivial."""
+        """The recession cone of the closure is trivial.  Decided once per
+        instance."""
+        return self._bounded
+
+    @cached_property
+    def _bounded(self) -> bool:
         d = self.dim
         if d == 0:
             return True
@@ -247,8 +244,6 @@ def _triangulate_rec(poly: Polytope, verts) -> list[tuple]:
 
 def _hyperplane_chart(h: HalfSpace):
     """A base point and basis of {x : h(x) = 0}."""
-    from ..linalg import solve_affine
-
     sol = solve_affine([list(h.coeffs)], [-h.const])
     if sol is None:
         raise ValueError("inconsistent hyperplane")

@@ -50,7 +50,7 @@ def cone_homotopy(polytope: Polytope, center: Sequence, form: Form) -> Form:
     x0 = [Fraction(c) for c in center]
     if len(x0) != polytope.dim or form.nvars != polytope.dim:
         raise ValueError("center or form does not match the polytope dimension")
-    if not polytope.contains(x0, closed=True):
+    if not polytope.contains(x0):
         raise ValueError("center is not a point of the polytope")
     k = form.degree
     if k == 0:

@@ -118,11 +118,10 @@ class TestTrivialBundle:
             mats = [omega(cell, i) for i in range(1, 5)]
             weight = F(orientation_sign(mats, p),
                        automorphisms(cls.graph).order)
-            chain = chain + polytope_chain(pre + "cell", cell.polytope,
-                                           coeff=weight)
-        total = PolytopalComplex(polys, gluings, check=False)
+            chain = chain + polytope_chain(pre + "cell", cell.polytope) * weight
+        total = PolytopalComplex(polys, gluings)
         base = PolytopalComplex(base_polys, [])
-        morphism = Morphism(total, base, maps, check=False)
+        morphism = Morphism(total, base, maps)
         alpha = FormOnComplex(total, 1, forms)
         got = circle_bundle_chern(morphism, alpha, chain, dirs, samples, -1)
         assert got == -tau(1, 0, 0, 0) == -1

@@ -10,7 +10,7 @@ from ribboncells.enumeration import (boundary_cells, enumerate_cells,
                                      enumerate_trivalent)
 from ribboncells.linalg import rank, solve_affine
 from ribboncells.permgraph import faces, perimeters
-from ribboncells.polyform import (HalfSpace, Polytope, integrate,
+from ribboncells.polyform import (HalfSpace, Polytope, geometry, integrate,
                                   validate_form, volume)
 from ribboncells.polyform.bundles import basic_descent, fiber_chain
 from ribboncells.sampling import random_stable_graph
@@ -283,6 +283,29 @@ class TestPolygonBundle:
         pb = polygon_bundle(cell, 1)
         omega = basic_descent(pb.projection, pb.alpha.d())
         assert omega.forms["cell"].degree == 2
+
+    def test_boundedness_decided_once_per_polytope(self, monkeypatch):
+        # the cuts and the base share the cell's polytope, so the complex
+        # and morphism checks search each distinct polytope once
+        calls = []
+        real = geometry.nullspace
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(geometry, "nullspace", counting)
+        p = _odd_primes(4)
+        cell = next(cell for cell in (cell_polytope(c.graph, p)
+                                      for c in enumerate_trivalent(0, 4))
+                    if not cell.is_empty)
+        pb = polygon_bundle(cell, 1)
+        built = len(calls)
+        distinct = {id(q): q for q in pb.complex.polytopes.values()}
+        calls.clear()
+        for q in distinct.values():
+            assert Polytope(q.dim, q.halfspaces).is_bounded()
+        assert built == len(calls) > 0
 
 
 class TestThreeArcBundle:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from ribboncells import intersect, ordinary_graph, permgraph
-from ribboncells.cli import main
+from ribboncells.cli import _parse_qqi, main
+from ribboncells.model0 import QQi
 
 
 @pytest.fixture
@@ -216,6 +217,22 @@ class TestModel0Cmd:
     def test_coincident_points(self, capsys):
         assert main(["model0", "--points", "0,0,1"]) == 2
 
+    @pytest.mark.parametrize("token, re, im", [
+        ("1+i", 1, 1), ("1-i", 1, -1), ("+i", 0, 1), ("-i", 0, -1),
+        ("i", 0, 1), ("1/2+3i", Fraction(1, 2), 3)])
+    def test_imaginary_parts(self, token, re, im):
+        assert _parse_qqi(token) == QQi.of(re, im)
+
+    def test_bare_sign_points_run(self, capsys):
+        assert main(["model0", "--points", "1+i,0,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+
+    @pytest.mark.parametrize("token", ["1+", "1/0", "1/0+i"])
+    def test_malformed_point_rejected(self, capsys, token):
+        assert main(["model0", "--points", f"{token},0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and repr(token) in err
+
 
 class TestCheckCmd:
     def test_suite_runs_clean(self, capsys):
@@ -248,6 +265,17 @@ class TestCheckCmd:
                 r.pop("wall_time")
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_default_case_counts(self, capsys):
+        # the command the check-suites benchmark runs: a change to its
+        # default work has to change these counts
+        assert main(["check", "--suite", "all", "--seed", "0"]) == 0
+        counts = {}
+        for line in capsys.readouterr().out.splitlines():
+            suite, rest = line.split(": ")
+            counts[suite] = int(rest.split()[0])
+        assert counts == {"alpha": 300, "contraction": 200, "model0": 100,
+                          "omega": 8, "p-independence": 9, "stokes": 200}
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

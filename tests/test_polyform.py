@@ -376,6 +376,21 @@ class TestGeometry:
         with pytest.raises(ValueError):
             volume(ray)
 
+    def test_boundedness_decided_once(self, monkeypatch):
+        calls = []
+        real = geometry.nullspace
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(geometry, "nullspace", counting)
+        cube = Polytope.from_bounds([(0, 1)] * 3)
+        assert cube.is_bounded()
+        searched = len(calls)
+        assert searched > 0
+        assert cube.is_bounded() and len(calls) == searched
+
     def test_zero_dim_convention(self):
         assert volume(Polytope.create(0, [])) == 1
 

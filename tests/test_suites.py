@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from ribboncells import suites
+from ribboncells import intersect, suites
 from ribboncells.suites import run_suite
 
 
@@ -40,3 +42,25 @@ def test_stokes_triangulates_each_polytope_once(monkeypatch):
 def test_cases_below_one_rejected(name, cases):
     with pytest.raises(ValueError, match="cases"):
         run_suite(name, seed=0, cases=cases)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_omega_counts_non_empty_cells(seed):
+    # empty draws do not use up the count, so one case is one checked cell
+    (report,) = run_suite("omega", seed=seed, cases=1)
+    assert report.ok and report.cases == 1
+
+
+def test_p_independence_catches_dependence(monkeypatch):
+    # negative control: a value that moves with the perimeters fails each
+    # of the three queries, and every evaluation still counts as a case
+    real = intersect.intersection_number
+
+    def skewed(genus, exponents, perimeters=None):
+        r = real(genus, exponents, perimeters)
+        return dataclasses.replace(r, value=r.value + sum(r.query.perimeters))
+
+    monkeypatch.setattr(intersect, "intersection_number", skewed)
+    (report,) = run_suite("p-independence", seed=0)
+    assert report.cases == 9 and len(report.failures) == 3
+    assert all("depends on perimeters" in f["error"] for f in report.failures)
