@@ -281,6 +281,18 @@ def trivalent_edge_count(g: int, n: int) -> int:
     return 3 * (2 * g - 2 + n)
 
 
+def require_enumerable(g: int, n: int) -> None:
+    """Raise ``ValueError`` for an unstable (g, n) and ``SizeGuardError``
+    when its trivalent graphs have more than ``MAX_EDGES`` edges; both
+    checks cost O(1), so a caller can make them before any other work."""
+    if g < 0 or n < 1 or 2 - 2 * g - n >= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    E = trivalent_edge_count(g, n)
+    if E > MAX_EDGES:
+        raise SizeGuardError(
+            f"E = {E} exceeds the enumeration size guard ({MAX_EDGES} edges)")
+
+
 def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     """All isomorphism classes of connected trivalent ribbon graphs of
     genus ``g`` with ``n`` labelled faces, complete and duplicate-free.
@@ -298,12 +310,7 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     ledgers and boundary edge indices refer to these representatives, so a
     labelling by orbits must keep this rule.
     """
-    if g < 0 or n < 1 or 2 - 2 * g - n >= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
-    E = trivalent_edge_count(g, n)
-    if E > MAX_EDGES:
-        raise SizeGuardError(
-            f"E = {E} exceeds the enumeration size guard ({MAX_EDGES} edges)")
+    require_enumerable(g, n)
     classes: dict[bytes, StableRibbonGraph] = {}
     for graph in _unlabelled_classes(g, n):
         face_reps = [cyc[0] for cyc in graph.sigma2_cycles]

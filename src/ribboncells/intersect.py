@@ -38,7 +38,8 @@ from math import comb, prod
 from typing import Sequence
 
 from .cells import CellPolytope, cell_polytope
-from .enumeration import GraphClass, automorphisms, enumerate_trivalent
+from .enumeration import (GraphClass, automorphisms, enumerate_trivalent,
+                          require_enumerable)
 from .linalg import pfaffian
 from .permgraph import faces
 
@@ -152,6 +153,7 @@ def make_query(genus: int, exponents: Sequence[int],
     if sum(d) != target:
         raise QueryError(
             f"exponents sum to {sum(d)}, expected 3g-3+n = {target}")
+    require_enumerable(genus, n)
     p = tuple(Fraction(x) for x in perimeters) if perimeters is not None \
         else default_perimeters(n)
     if len(p) != n or any(x <= 0 for x in p):

@@ -71,24 +71,21 @@ class Morphism:
                         raise MorphismError(
                             f"map {m.src}->{m.dst} lands in face {g.src} but the "
                             f"factored map is missing")
-        # two images of one point must be identified by target gluings
-        by_src: dict[str, list[MorphismMap]] = {}
+        # two images of one point must be identified by target gluings;
+        # identification is an equivalence, so each map's images are
+        # compared with those of the first map on its source polytope
+        first: dict[str, tuple[MorphismMap, list]] = {}
         for m in self.maps:
-            by_src.setdefault(m.src, []).append(m)
-        for src, ms in by_src.items():
-            poly = self.source.polytopes[src]
+            poly = self.source.polytopes[m.src]
             if not poly.is_bounded():
                 continue
-            pts = poly.vertices()
-            for a in ms:
-                for b in ms:
-                    for v in pts:
-                        pa = self.target.canonical_point(a.dst, a.map.apply(v))
-                        pb = self.target.canonical_point(b.dst, b.map.apply(v))
-                        if pa != pb:
-                            raise MorphismError(
-                                f"maps on {src} send a point to unidentified "
-                                f"images in {a.dst} and {b.dst}")
+            images = [self.target.canonical_point(m.dst, m.map.apply(v))
+                      for v in poly.vertices()]
+            a, expected = first.setdefault(m.src, (m, images))
+            if images != expected:
+                raise MorphismError(
+                    f"maps on {m.src} send a point to unidentified "
+                    f"images in {a.dst} and {m.dst}")
 
 
 def _factor_through_face(f: AffineMap, embed: AffineMap) -> AffineMap | None:
@@ -126,7 +123,6 @@ def fiber_chain(morphism: Morphism, base_polytope: str, base_point,
             continue
         src = morphism.source.polytopes[m.src]
         # slice {x in closure(src) : m.map(x) = y0}
-        slice_hs = list(src.halfspaces)
         eqs = []
         for i in range(m.map.target_dim):
             coeffs = list(m.map.matrix[i])

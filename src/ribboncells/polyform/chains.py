@@ -89,19 +89,13 @@ class Chain:
 
 def polytope_chain(name: str, poly: Polytope) -> Chain:
     """Triangulate a bounded polytope into a chain of simplicial pieces,
-    each oriented positively for the standard coordinate orientation (the
-    vertex order is flipped when the parametrization determinant is
-    negative)."""
+    each oriented positively for the standard coordinate orientation: a
+    simplex of negative determinant has its last two vertices swapped."""
     pieces = []
     for simplex in triangulate(poly):
-        if poly.dim >= 2:
-            v0 = simplex[0]
-            rows = [[x - b for x, b in zip(v, v0)] for v in simplex[1:]]
-            sign = det(rows)
-            if sign == 0:
-                continue
-            if sign < 0:
-                simplex = (simplex[0], simplex[2], simplex[1]) + simplex[3:]
+        v0 = simplex[0]
+        if det([[x - b for x, b in zip(v, v0)] for v in simplex[1:]]) < 0:
+            simplex = simplex[:-2] + (simplex[-1], simplex[-2])
         pieces.append((Fraction(1), Piece.create(name, simplex)))
     return Chain(poly.dim, pieces)
 

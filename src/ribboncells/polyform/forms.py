@@ -9,10 +9,12 @@ are exact, so identities like ``d(d w) = 0`` hold as literal equalities.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .geometry import AffineMap
 from .poly import Polynomial
+from ..linalg import det
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
@@ -158,24 +160,29 @@ class Form:
         return Form(self.nvars, self.degree + 1, out)
 
     def pullback(self, phi: AffineMap) -> "Form":
-        """phi^* self, for phi : R^m -> R^nvars affine."""
+        """phi^* self, for phi : R^m -> R^nvars affine with matrix A, by
+        the Cauchy-Binet formula
+
+            (phi^* w)_J = sum_I det(A[I, J]) * (w_I o phi)
+
+        over the index tuples I of w and the increasing k-tuples J of
+        range(m), k the degree."""
         if phi.target_dim != self.nvars:
             raise ValueError("map target does not match the form's space")
         m = phi.source_dim
         coords = [Polynomial.affine(row, off)
                   for row, off in zip(phi.matrix, phi.offset)]
-        # dx_i pulls back to the constant 1-form sum_j matrix[i][j] dt_j
-        dxs = [Form(m, 1, {(j,): Polynomial.constant(m, phi.matrix[i][j])
-                           for j in range(m) if phi.matrix[i][j] != 0})
-               for i in range(self.nvars)]
-        out = Form.zero(m, self.degree)
+        out: dict[tuple[int, ...], Polynomial] = {}
         for idx, p in self.comps.items():
-            factor = Form.function(p.subst(coords))
-            for i in idx:
-                factor = factor.wedge(dxs[i])
-            if factor.degree == self.degree:
-                out = out + factor
-        return out
+            # on a point there is nothing to substitute: p is its constant
+            composed = p.subst(coords) if coords else \
+                Polynomial.constant(m, p.eval(()))
+            for cols in combinations(range(m), self.degree):
+                minor = det([[phi.matrix[i][j] for j in cols] for i in idx])
+                if minor:
+                    term = composed * minor
+                    out[cols] = out[cols] + term if cols in out else term
+        return Form(m, self.degree, out)
 
     def coefficient(self, idx: Sequence[int]) -> Polynomial:
         return self.comps.get(tuple(idx), Polynomial.constant(self.nvars, 0))

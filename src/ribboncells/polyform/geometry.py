@@ -1,8 +1,9 @@
 """Affine maps and convex polytopes with exact rational data.
 
 A polytope is an intersection of open or closed half-spaces with nonempty
-interior, so it is always full-dimensional in its ambient space; faces
-arise by turning non-strict inequalities into equalities.  Vertex
+interior, so it is always full-dimensional in its ambient space.  A face
+is the set of its cached vertices that are tight on some half-spaces, and
+the triangulation is a fan over these tight-vertex sets.  Vertex
 enumeration, boundedness tests, triangulation, and volume are all exact
 and sized for desk-scale instances.
 """
@@ -13,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import factorial
 from typing import Sequence
 
-from ..linalg import det, nullspace, rank, solve_affine, solve_unique
+from ..linalg import det, nullspace, rank, solve_unique
 
 
 def _fr_tuple(xs) -> tuple[Fraction, ...]:
@@ -180,112 +182,47 @@ class Polytope:
 
 def triangulate(poly: Polytope) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Exact triangulation of a bounded polytope's closure into simplices
-    given as vertex tuples, by a fan over facets from a base vertex."""
+    given as vertex tuples: the pulling triangulation (De Loera, Rambau and
+    Santos, *Triangulations*, 2010) for the sorted vertex order.
+
+    A face is the set of the polytope's vertices tight on some halfspaces.
+    Each face is a fan from its least vertex over the triangulations of
+    its facets that miss that vertex; the facets of a face F are the
+    maximal proper nonempty sets F & T, for T the tight-vertex set of one
+    halfspace.  Every simplex lists its vertices in increasing order.
+    """
+    if not poly.is_bounded():
+        raise ValueError("triangulation of an unbounded polytope")
     verts = poly.vertices()
     if not verts:
         return []
-    return _triangulate_rec(poly, verts)
+    tight = {frozenset(v for v in verts if h.value(v) == 0)
+             for h in poly.halfspaces}
+    return _pull(frozenset(verts), tight)
 
 
-def _facets(poly: Polytope, verts):
-    """(halfspace index, vertex subset) for every facet, deduplicated."""
-    d = poly.dim
-    out = []
-    seen_sets = set()
-    for i, h in enumerate(poly.halfspaces):
-        tight = tuple(v for v in verts if h.value(v) == 0)
-        if len(tight) < d:
-            continue
-        key = frozenset(tight)
-        if key in seen_sets:
-            continue
-        # affine rank check: facet must have dimension d-1
-        base = tight[0]
-        rows = [[x - b for x, b in zip(v, base)] for v in tight[1:]]
-        if rank(rows) != d - 1:
-            continue
-        seen_sets.add(key)
-        out.append((i, tight))
-    return out
-
-
-def _triangulate_rec(poly: Polytope, verts) -> list[tuple]:
-    d = poly.dim
-    if d == 0:
-        return [(verts[0],)]
-    if d == 1:
-        lo = min(verts)
-        hi = max(verts)
-        return [] if lo == hi else [(lo, hi)]
-    v0 = verts[0]
-    simplices = []
-    for i, tight in _facets(poly, verts):
-        if poly.halfspaces[i].value(v0) == 0:
-            continue
-        # parametrize the facet hyperplane and recurse in d-1 coordinates
-        h = poly.halfspaces[i]
-        base, basis = _hyperplane_chart(h)
-        chart = _chart_inverse(base, basis)
-        sub_hs = []
-        for j, other in enumerate(poly.halfspaces):
-            if j == i:
-                continue
-            coeffs = [sum(other.coeffs[k] * basis[m][k] for k in range(d))
-                      for m in range(d - 1)]
-            const = other.value(base)
-            sub_hs.append(HalfSpace.create(coeffs, const, other.strict))
-        sub_poly = Polytope(d - 1, tuple(sub_hs))
-        sub_verts = sorted({chart(v) for v in tight})
-        for simplex in _triangulate_rec(sub_poly, sub_verts):
-            lifted = tuple(_lift(base, basis, s) for s in simplex)
-            simplices.append((v0,) + lifted)
-    return simplices
-
-
-def _hyperplane_chart(h: HalfSpace):
-    """A base point and basis of {x : h(x) = 0}."""
-    sol = solve_affine([list(h.coeffs)], [-h.const])
-    if sol is None:
-        raise ValueError("inconsistent hyperplane")
-    return sol[0], sol[1]
-
-
-def _chart_inverse(base, basis):
-    """Coordinates of an on-hyperplane point in the given affine chart."""
-    cols = list(zip(*basis))
-
-    def chart(v):
-        rhs = [x - b for x, b in zip(v, base)]
-        sol = solve_unique([list(c) for c in cols], rhs)
-        if sol is None:
-            raise ValueError("point not on the hyperplane chart")
-        return tuple(sol)
-
-    return chart
-
-
-def _lift(base, basis, t):
-    d = len(base)
-    return tuple(base[i] + sum((Fraction(t[m]) * basis[m][i] for m in range(len(basis))),
-                               Fraction(0)) for i in range(d))
+def _pull(face: frozenset, tight) -> list[tuple]:
+    apex = min(face)
+    if len(face) == 1:
+        return [(apex,)]
+    cuts = {face & t for t in tight} - {face, frozenset()}
+    return [(apex,) + simplex
+            for facet in cuts
+            if apex not in facet and not any(facet < c for c in cuts)
+            for simplex in _pull(facet, tight)]
 
 
 def volume(poly: Polytope) -> Fraction:
-    """Exact Euclidean volume of a bounded polytope (its closure).
+    """Exact Euclidean volume of a bounded polytope (its closure); an
+    unbounded one raises ``ValueError`` in ``triangulate``.
 
     Zero-dimensional polytopes get the point-mass convention ``1``.
     """
     if poly.dim == 0:
         return Fraction(1)
-    if not poly.is_bounded():
-        raise ValueError("volume of an unbounded polytope")
     total = Fraction(0)
-    d = poly.dim
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
     for simplex in triangulate(poly):
         v0 = simplex[0]
         rows = [[x - b for x, b in zip(v, v0)] for v in simplex[1:]]
         total += abs(det(rows))
-    return total / fact
+    return total / factorial(poly.dim)

@@ -6,9 +6,10 @@ from test_polyform import circle_complex, torus_complex
 
 from ribboncells.polyform import (AffineMap, Form, FormOnComplex, Morphism,
                                   MorphismError, MorphismMap, Polynomial,
-                                  basic_descent, boundary_cancels,
-                                  circle_bundle_chern, fiber_chain,
-                                  integrate, polytope_chain, product_complex)
+                                  PolytopalComplex, basic_descent,
+                                  boundary_cancels, circle_bundle_chern,
+                                  fiber_chain, integrate, polytope_chain,
+                                  product_complex)
 
 F = Fraction
 
@@ -144,3 +145,38 @@ class TestTrivialBundle:
             pytest.skip("form not even well-defined on the complex")
         with pytest.raises(MorphismError):
             basic_descent(morphism, alpha.d())
+
+
+class TestMorphismClosureConditions:
+    """Each closure condition of a morphism, broken on the trivial circle
+    bundle."""
+
+    def test_polytope_without_a_map(self):
+        base, fiber, total, morphism = trivial_circle_bundle()
+        maps = [m for m in morphism.maps if m.src != "pt*w"]
+        with pytest.raises(MorphismError, match=r"no map defined.*pt\*w"):
+            Morphism(total, base, maps)
+
+    def test_restriction_missing(self):
+        base, fiber, total, morphism = trivial_circle_bundle()
+        drop = next(m for m in morphism.maps
+                    if (m.src, m.dst) == ("eh*arc", "sq"))
+        maps = [m for m in morphism.maps if m is not drop]
+        with pytest.raises(MorphismError, match=r"restriction of sq\*arc->sq "
+                                                r"to face eh\*arc missing"):
+            Morphism(total, base, maps)
+
+    def test_factored_map_missing(self):
+        base, fiber, total, morphism = trivial_circle_bundle()
+        maps = [m for m in morphism.maps if (m.src, m.dst) != ("eh*arc", "eh")]
+        with pytest.raises(MorphismError, match=r"eh\*arc->sq lands in face "
+                                                r"eh but the factored map"):
+            Morphism(total, base, maps)
+
+    def test_unidentified_images(self):
+        # without the torus gluings, a point of an edge and its image in
+        # the square are different points
+        base, fiber, total, morphism = trivial_circle_bundle()
+        loose = PolytopalComplex(base.polytopes, [])
+        with pytest.raises(MorphismError, match="unidentified images"):
+            Morphism(total, loose, morphism.maps)

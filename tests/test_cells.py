@@ -81,7 +81,9 @@ class TestCellPolytope:
 #: ``test_intersect.TestWallPerimeters``.
 WALLS = {(0, 4): [(5, 5, 7, 11), (3, 5, 8, 13), (3, 11, 7, 7), (2, 3, 4, 9),
                   (1, 1, 2, 2), (1, 1, 1, 1)],
-         (1, 2): [(5, 5), (3, 6), (6, 3), (2, 6), (1, 1)]}
+         (1, 2): [(5, 5), (3, 6), (6, 3), (2, 6), (1, 1)],
+         # one face: every perimeter scales the same cells, no walls
+         (2, 1): []}
 
 
 def _reference_empty(graph, p):
@@ -110,7 +112,7 @@ def _has_pinned_nonpositive_edge(cell):
 class TestBasisVolume:
     """The chart volume of one pass over the feasible bases of M."""
 
-    @pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
+    @pytest.mark.parametrize("g, n", [(0, 4), (1, 2), (2, 1)])
     def test_equals_triangulated_volume(self, g, n):
         rng = random.Random(71)
         vectors = [_odd_primes(n)] + WALLS[g, n] + [

@@ -183,6 +183,27 @@ class TestIntersectCmd:
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
 
+    @pytest.mark.parametrize("genus, d, code, message", [
+        (0, [1] * 1997 + [0] * 3, 1,
+         "error: E = 5994 exceeds the enumeration size guard"),
+        (-1, [1] * 1994 + [0] * 6, 2,
+         "usage error: (g, n) = (-1, 2000) is not stable")],
+        ids=["size-guard", "unstable"])
+    @pytest.mark.parametrize("flags", [[], ["--check-p-independence"]],
+                             ids=["plain", "p-independence"])
+    def test_guards_before_default_perimeters(self, monkeypatch, capsys,
+                                              genus, d, code, message, flags):
+        # the default perimeters take a trial division per integer below
+        # the n-th prime; stability and the size guard come first
+        def forbidden(n):
+            raise AssertionError("default perimeters built before the guard")
+
+        monkeypatch.setattr(intersect, "default_perimeters", forbidden)
+        argv = ["intersect", "--genus", str(genus),
+                "--d", ",".join(map(str, d)), *flags]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("args, token", [
         (["--genus", "1", "--d", "x"], "'x'"),
         (["--genus", "0", "--d", "0,0,0", "--perimeters", "1,y,3"], "'y'"),

@@ -40,6 +40,28 @@ def random_form(rng, nvars, degree, max_deg=3):
     return Form(nvars, degree, comps)
 
 
+def reference_pullback(form, phi):
+    """The wedge-chain pullback that ``Form.pullback`` replaced, kept as an
+    independent route to the same forms."""
+    if phi.target_dim != form.nvars:
+        raise ValueError("map target does not match the form's space")
+    m = phi.source_dim
+    coords = [Polynomial.affine(row, off)
+              for row, off in zip(phi.matrix, phi.offset)]
+    # dx_i pulls back to the constant 1-form sum_j matrix[i][j] dt_j
+    dxs = [Form(m, 1, {(j,): Polynomial.constant(m, phi.matrix[i][j])
+                       for j in range(m) if phi.matrix[i][j] != 0})
+           for i in range(form.nvars)]
+    out = Form.zero(m, form.degree)
+    for idx, p in form.comps.items():
+        factor = Form.function(p.subst(coords))
+        for i in idx:
+            factor = factor.wedge(dxs[i])
+        if factor.degree == form.degree:
+            out = out + factor
+    return out
+
+
 class TestPolynomial:
     def test_arithmetic(self):
         p = x(0, 2) * x(0, 2) + 2 * x(1, 2)
@@ -100,6 +122,37 @@ class TestFormAlgebra:
         for _ in range(10):
             w = random_form(rng, 3, 2)
             assert w.pullback(phi).pullback(psi) == w.pullback(phi.compose(psi))
+
+    def test_pullback_matches_wedge_chain(self):
+        # Cauchy-Binet minors against the wedge chain, on maps from R^0 to
+        # R^3, injective or not
+        rng = random.Random(36)
+        checked = 0
+        for _ in range(240):
+            nvars, m = rng.randint(1, 3), rng.randint(0, 3)
+            cols = [[F(rng.randint(-3, 3), rng.randint(1, 2))
+                     for _ in range(nvars)] for _ in range(m)]
+            if m >= 2 and rng.random() < 0.4:
+                # a repeated direction: rank below the source dimension
+                cols[1] = [2 * a for a in cols[0]]
+            matrix = [[cols[j][i] for j in range(m)] for i in range(nvars)]
+            phi = AffineMap.create(matrix, [rng.randint(-2, 2)
+                                            for _ in range(nvars)], in_dim=m)
+            w = random_form(rng, nvars, rng.randint(0, nvars))
+            assert w.pullback(phi) == reference_pullback(w, phi)
+            checked += not phi.is_injective()
+        assert checked >= 50
+
+    def test_pullback_from_a_point(self):
+        five = Form.function(Polynomial.constant(0, 5))
+        assert five.pullback(AffineMap.create([], [], in_dim=1)) == \
+            Form.function(Polynomial.constant(1, 5))
+        # a 2-form on R^2 pulls back to the zero 2-form on a point or a line
+        area = Form(2, 2, {(0, 1): x(0, 2) + 1})
+        to_point = AffineMap.create([[], []], [1, 2], in_dim=0)
+        assert area.pullback(to_point) == Form.zero(0, 2)
+        to_line = AffineMap.create([[1], [2]], [0, 0])
+        assert area.pullback(to_line) == Form.zero(1, 2)
 
     def test_pullback_commutes_with_d(self):
         rng = random.Random(34)
@@ -376,6 +429,21 @@ class TestGeometry:
         with pytest.raises(ValueError):
             volume(ray)
 
+    @pytest.mark.parametrize("bounds", [[(0, 1), (0, None)],
+                                        [(0, None), (0, None)]],
+                             ids=["half-strip", "quadrant"])
+    def test_unbounded_refused_everywhere(self, bounds):
+        hs = [HalfSpace.create([1 if j == i else 0 for j in range(2)], -lo)
+              for i, (lo, _) in enumerate(bounds)]
+        hs += [HalfSpace.create([-1 if j == i else 0 for j in range(2)], hi)
+               for i, (_, hi) in enumerate(bounds) if hi is not None]
+        poly = Polytope.create(2, hs)
+        assert poly.vertices()
+        for kernel in (triangulate, volume,
+                       lambda p: polytope_chain("p", p)):
+            with pytest.raises(ValueError, match="unbounded"):
+                kernel(poly)
+
     def test_boundedness_decided_once(self, monkeypatch):
         calls = []
         real = geometry.nullspace
@@ -419,6 +487,30 @@ class TestGeometry:
             rows = [[a - b for a, b in zip(v, v0)] for v in s[1:]]
             total += abs(det(rows))
         assert total / 6 == 6
+
+
+    def test_chain_pieces_positively_oriented(self):
+        from conftest import trivalent_classes
+
+        from ribboncells import suites
+        from ribboncells.cells import cell_polytope
+        from ribboncells.intersect import default_perimeters
+        from ribboncells.linalg import det
+
+        chains = [polytope_chain("box", Polytope.from_bounds(
+            [(0, 1), (-1, 2), (F(1, 2), 3)][:d])) for d in (1, 2, 3)]
+        chains += [chain for _, chain in suites._stokes_corpus().values()]
+        p = default_perimeters(4)
+        for c in trivalent_classes(0, 4):
+            cell = cell_polytope(c.graph, p)
+            if not cell.is_empty:
+                chains.append(polytope_chain("cell", cell.polytope))
+        pieces = [piece for chain in chains for _, piece in chain.terms]
+        assert len(pieces) > 30
+        for piece in pieces:
+            v0 = piece.vertices[0]
+            assert det([[a - b for a, b in zip(v, v0)]
+                        for v in piece.vertices[1:]]) > 0
 
 
 class TestProductComplex:
