@@ -8,7 +8,7 @@ the face boundaries.
 
 from ribboncells import (Vertex, faces, genus, ordinary_graph, perimeters,
                          validate)
-from ribboncells.permgraph import HalfEdgeSet, StableRibbonGraph
+from ribboncells.permgraph import StableRibbonGraph
 
 # Two trivalent vertices joined by three parallel edges.  With the cyclic
 # orders below the three edges weave into a single face, so the graph
@@ -35,7 +35,7 @@ print("  perimeters for lengths (1,2,3):", perimeters(planar, [1, 2, 3]))
 # singular surface point) and a genus defect.  A single edge joining two
 # defect-1 endpoints already has genus 2.
 needle = StableRibbonGraph(
-    HalfEdgeSet(2),
+    2,
     (Vertex(cycles=((0,),), defect=1), Vertex(cycles=((1,),), defect=1)),
     {0: 1})
 print("\nsingle edge with two defect-1 endpoints:", needle)
@@ -45,5 +45,5 @@ print("  genus:", genus(needle))
 # A loop whose halves sit on two branches of one vertex: the surface of
 # embedding acquires a node, and the arithmetic genus is already 1.
 node = StableRibbonGraph(
-    HalfEdgeSet(2), (Vertex(cycles=((0,), (1,)), defect=0),), {0: 1})
+    2, (Vertex(cycles=((0,), (1,)), defect=0),), {0: 1})
 print("\nloop on two branches:", node, "-> genus", genus(node))

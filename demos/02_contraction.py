@@ -8,7 +8,7 @@ endpoints.  Genus and face labels are always conserved.
 
 from ribboncells import (contract_edge, contract_set, contractible_edges,
                          faces, genus, isomorphic, ordinary_graph)
-from ribboncells.permgraph import HalfEdgeSet, StableRibbonGraph, Vertex
+from ribboncells.permgraph import StableRibbonGraph, Vertex
 from ribboncells.stable import induced_component_graph
 
 theta = ordinary_graph([(0, 2, 4), (1, 3, 5)])
@@ -37,7 +37,7 @@ print("component {0,1} first-return structure:", sub, "genus", genus(sub))
 # a loop whose halves lie on two different branches of one vertex: its
 # contraction merges the branches and raises the defect by one
 two_branch_loop = StableRibbonGraph(
-    HalfEdgeSet(4), (Vertex(cycles=((0, 2), (1, 3)), defect=0),),
+    4, (Vertex(cycles=((0, 2), (1, 3)), defect=0),),
     {0: 1, 1: 2})
 print("\ntwo-branch loop vertex:", two_branch_loop,
       "genus", genus(two_branch_loop))

@@ -7,9 +7,9 @@ polytopal complexes, and intersection numbers of the tautological classes
 obtained by integrating curvature 2-forms over the top cells.
 """
 
-from .permgraph import (FaceWord, HalfEdgeSet, InvalidGraphError,
-                        StableRibbonGraph, Vertex, Violation, faces, genus,
-                        ordinary_graph, perimeters, relabel, validate)
+from .permgraph import (FaceWord, InvalidGraphError, StableRibbonGraph,
+                        Vertex, Violation, faces, genus, ordinary_graph,
+                        perimeters, relabel, validate)
 from .stable import (ContractionError, contract_edge, contract_set,
                      contractible_edges, induced_component_graph)
 from .enumeration import (AutomorphismGroup, GraphClass, SizeGuardError,
@@ -17,9 +17,9 @@ from .enumeration import (AutomorphismGroup, GraphClass, SizeGuardError,
                           enumerate_trivalent, isomorphic)
 
 __all__ = [
-    "FaceWord", "HalfEdgeSet", "InvalidGraphError", "StableRibbonGraph",
-    "Vertex", "Violation", "faces", "genus", "ordinary_graph", "perimeters",
-    "relabel", "validate",
+    "FaceWord", "InvalidGraphError", "StableRibbonGraph", "Vertex",
+    "Violation", "faces", "genus", "ordinary_graph", "perimeters", "relabel",
+    "validate",
     "ContractionError", "contract_edge", "contract_set", "contractible_edges",
     "induced_component_graph",
     "AutomorphismGroup", "GraphClass", "SizeGuardError", "automorphisms",

@@ -317,7 +317,7 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
         search = _least_serialization(graph, False)
         for labelling in permutations(range(1, n + 1)):
             labels = dict(zip(face_reps, labelling))
-            cand = StableRibbonGraph(graph.half_edges, graph.vertices, labels)
+            cand = StableRibbonGraph(graph.num_half_edges, graph.vertices, labels)
             # the structure of ``graph``, so its unlabelled search
             cand.__dict__["_least"] = {False: search}
             key = canonical_key(cand)

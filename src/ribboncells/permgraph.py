@@ -17,7 +17,6 @@ are the special case of one cycle per vertex and all defects zero.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,21 +37,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class HalfEdgeSet:
-    """The set ``{0, ..., count-1}`` of half-edges; ``count`` is even.
-
-    Half-edges ``2k`` and ``2k+1`` always form edge ``k``, so the edge
-    involution never needs to be stored.
-    """
-
-    count: int
-
-    @property
-    def num_edges(self) -> int:
-        return self.count // 2
 
 
 @dataclass(frozen=True)
@@ -95,8 +79,12 @@ class FaceWord:
 class StableRibbonGraph:
     """Stable ribbon graph with numbered faces.
 
-    ``face_labels`` maps one representative half-edge of each ``sigma2``
-    cycle to its label; labels form a bijection onto ``{1..n}``.  Instances
+    ``num_half_edges`` is the even count ``2E`` of half-edges
+    ``0..2E-1``; half-edges ``2k`` and ``2k+1`` always form edge ``k``, so
+    the edge involution is never stored.  ``vertices`` gives each vertex's
+    cycles and genus defect.  ``face_labels`` maps one representative
+    half-edge of each ``sigma2`` cycle to its label; labels form a
+    bijection onto ``{1..n}``.  Instances
     are immutable: nothing mutates ``vertices`` or ``face_labels`` after
     construction, so all derived structure, and the outcome of
     :meth:`require_valid`, is cached.  Construction does not validate --
@@ -104,19 +92,15 @@ class StableRibbonGraph:
     invariants.
     """
 
-    half_edges: HalfEdgeSet
+    num_half_edges: int
     vertices: tuple[Vertex, ...]
     face_labels: Mapping[int, int] = field(default_factory=dict)
 
     # -- basic counts ------------------------------------------------
 
     @property
-    def num_half_edges(self) -> int:
-        return self.half_edges.count
-
-    @property
     def num_edges(self) -> int:
-        return self.half_edges.num_edges
+        return self.num_half_edges // 2
 
     @property
     def num_faces(self) -> int:
@@ -213,7 +197,7 @@ class StableRibbonGraph:
     # -- hashing / equality on raw data -------------------------------
 
     def _key(self):
-        return (self.half_edges.count,
+        return (self.num_half_edges,
                 tuple((v.cycles, v.defect) for v in self.vertices),
                 tuple(sorted(self.face_labels.items())))
 
@@ -285,10 +269,10 @@ def ordinary_graph(vertex_cycles: Iterable[Iterable[int]],
     labelled ``1..n`` in order of their minimal half-edge."""
     vertices = tuple(Vertex(cycles=(tuple(c),)) for c in vertex_cycles)
     nh = sum(v.degree for v in vertices)
-    g = StableRibbonGraph(HalfEdgeSet(nh), vertices, face_labels or {})
+    g = StableRibbonGraph(nh, vertices, face_labels or {})
     if face_labels is None:
         labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}
-        g = StableRibbonGraph(HalfEdgeSet(nh), vertices, labels)
+        g = StableRibbonGraph(nh, vertices, labels)
     return g
 
 
@@ -299,7 +283,7 @@ def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation 
     skipped (the induced first-return structures of contraction components
     may legitimately fail it).
     """
-    n = g.half_edges.count
+    n = g.num_half_edges
     if n <= 0 or n % 2 != 0:
         return Violation("half-edges", f"count must be a positive even integer, got {n}")
 
@@ -377,41 +361,24 @@ def genus(g: StableRibbonGraph) -> int:
     """Genus: arithmetic genus of the surface of embedding plus the sum of
     genus defects.
 
-    The surface of embedding is reconstructed by giving every cycle of a
-    vertex permutation its own point on a separate local branch: splitting
-    each vertex into one vertex per cycle yields a (possibly disconnected)
-    ordinary ribbon structure whose components are closed surfaces, glued
-    back at the split points.  For a connected surface with branch points,
-    the arithmetic genus is ``sum(component genera) + sum(branches-1 over
-    singular points) - components + 1``.
+    The surface of embedding is a nodal curve.  Splitting each of the ``V``
+    vertices into one vertex per cycle of its permutation gives ``C``
+    vertices, ``E`` edges and ``F`` faces of an ordinary ribbon structure
+    whose ``k`` components are closed surfaces, so
+    ``C - E + F = sum(2 - 2 g_c)``.  Gluing the cycles of each vertex back
+    into one point, the arithmetic genus is
+    ``sum(g_c) + (C - V) - k + 1``; substituting ``sum(g_c)``, ``k``
+    cancels and it is ``1 - V + (C + E - F) / 2``.
     """
     g.require_valid(require_stability=False)
-
-    # split components: union-find over vertex-permutation cycles via edges
-    vertex_cycles = [cyc for v in g.vertices for cyc in v.cycles]
-    cycle_of = [-1] * g.num_half_edges
-    for ci, cyc in enumerate(vertex_cycles):
-        for h in cyc:
-            cycle_of[h] = ci
-    root = union_find(len(vertex_cycles), zip(cycle_of[0::2], cycle_of[1::2]))
-    chi = Counter(root)  # Euler characteristic of each split component
-    for e in range(g.num_edges):
-        chi[root[cycle_of[2 * e]]] -= 1
-    for cyc in g.sigma2_cycles:
-        chi[root[cycle_of[cyc[0]]]] += 1
-
-    genus_sum = 0
-    for c in chi.values():
-        if c % 2 != 0:
-            raise AssertionError("odd Euler characteristic in split component")
-        genus_sum += (2 - c) // 2
-
-    num_components = len(chi)
-    delta = sum(len(v.cycles) - 1 for v in g.vertices)
-    arithmetic = genus_sum + delta - num_components + 1
+    twice = (sum(len(v.cycles) for v in g.vertices) + g.num_edges
+             - g.num_faces)
+    if twice % 2 != 0:
+        raise AssertionError("odd Euler characteristic of the split surface")
+    arithmetic = 1 - len(g.vertices) + twice // 2
     if arithmetic < 0:
         raise AssertionError("negative arithmetic genus")
-    return arithmetic + sum(v.defect for v in g.vertices)
+    return arithmetic + sum(g.defects)
 
 
 def perimeters(g: StableRibbonGraph, lengths: Sequence) -> tuple[Fraction, ...]:
@@ -446,7 +413,7 @@ def relabel(g: StableRibbonGraph, perm: Sequence[int]) -> StableRibbonGraph:
                defect=v.defect)
         for v in g.vertices)
     labels = {perm[h]: lab for h, lab in g.face_labels.items()}
-    return StableRibbonGraph(HalfEdgeSet(n), vertices, labels)
+    return StableRibbonGraph(n, vertices, labels)
 
 
 # -- JSON graph format ---------------------------------------------------
@@ -458,24 +425,39 @@ def relabel(g: StableRibbonGraph, perm: Sequence[int]) -> StableRibbonGraph:
 
 def to_json_dict(g: StableRibbonGraph) -> dict:
     return {
-        "half_edges": g.half_edges.count,
+        "half_edges": g.num_half_edges,
         "vertices": [{"cycles": [list(c) for c in v.cycles], "defect": v.defect}
                      for v in g.vertices],
         "face_labels": {str(h): lab for h, lab in sorted(g.face_labels.items())},
     }
 
 
+def _json_int(x, what: str) -> int:
+    # bool is a subclass of int, but ``true`` is not a JSON integer
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {type(x).__name__}")
+    return x
+
+
 def from_json_dict(d: Mapping) -> StableRibbonGraph:
+    """The graph of a decoded JSON object; raise ``ValueError`` unless
+    every count, half-edge, defect and label is an integer and
+    ``face_labels`` is an object keyed by decimal half-edges."""
     try:
-        nh = int(d["half_edges"])
+        nh = _json_int(d["half_edges"], "half_edges")
         vertices = tuple(
-            Vertex(cycles=tuple(tuple(int(h) for h in c) for c in v["cycles"]),
-                   defect=int(v.get("defect", 0)))
+            Vertex(cycles=tuple(tuple(_json_int(h, "half-edge") for h in c)
+                                for c in v["cycles"]),
+                   defect=_json_int(v.get("defect", 0), "defect"))
             for v in d["vertices"])
-        labels = {int(h): int(lab) for h, lab in d["face_labels"].items()}
+        labels = d["face_labels"]
+        if not (isinstance(labels, dict)
+                and all(h.isascii() and h.isdigit() for h in labels)):
+            raise ValueError("face_labels must map decimal half-edges to labels")
+        labels = {int(h): _json_int(lab, "face label") for h, lab in labels.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph object: {exc}") from exc
-    return StableRibbonGraph(HalfEdgeSet(nh), vertices, labels)
+    return StableRibbonGraph(nh, vertices, labels)
 
 
 def dumps(g: StableRibbonGraph, **kw) -> str:
@@ -487,4 +469,6 @@ def loads(text: str) -> StableRibbonGraph:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
     return from_json_dict(d)

@@ -77,13 +77,19 @@ class Chain:
         return not self.terms
 
     def boundary(self) -> "Chain":
+        """The alternating sum of facets, each written in sorted vertex
+        order with the sign of the sorting permutation, so that a facet
+        two pieces share with opposite orientations cancels."""
         if self.degree == 0:
             return Chain(0, [])
         out = []
         for coeff, piece in self.terms:
             for i in range(len(piece.vertices)):
                 face = piece.vertices[:i] + piece.vertices[i + 1:]
-                out.append((coeff * (-1) ** i, Piece(piece.polytope, face)))
+                inversions = sum(a > b for j, a in enumerate(face)
+                                 for b in face[j + 1:])
+                out.append((coeff * (-1) ** (i + inversions),
+                            Piece(piece.polytope, tuple(sorted(face)))))
         return Chain(self.degree - 1, out)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .permgraph import HalfEdgeSet, StableRibbonGraph, Vertex, cycles, validate
+from .permgraph import StableRibbonGraph, Vertex, cycles, validate
 
 
 def random_stable_graph(rng: random.Random, max_edges: int = 8) -> StableRibbonGraph:
@@ -34,9 +34,9 @@ def random_stable_graph(rng: random.Random, max_edges: int = 8) -> StableRibbonG
                                   or (v.degree == 2 and len(v.cycles) == 1)):
                 v = Vertex(cycles=v.cycles, defect=rng.randint(1, 2))
             vertices.append(v)
-        g = StableRibbonGraph(HalfEdgeSet(nh), tuple(vertices), {})
+        g = StableRibbonGraph(nh, tuple(vertices), {})
         labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}
-        g = StableRibbonGraph(HalfEdgeSet(nh), tuple(vertices), labels)
+        g = StableRibbonGraph(nh, tuple(vertices), labels)
         if validate(g) is None:
             return g
 

@@ -16,8 +16,7 @@ first-return structure induced on that component.
 
 from __future__ import annotations
 
-from .permgraph import (HalfEdgeSet, StableRibbonGraph, Vertex, cycles, genus,
-                        union_find)
+from .permgraph import StableRibbonGraph, Vertex, cycles, genus, union_find
 
 
 class ContractionError(ValueError):
@@ -36,53 +35,48 @@ def _forbidden_faces(g: StableRibbonGraph, contract: set[int]) -> list[tuple[int
 
 
 def contractible_edges(g: StableRibbonGraph) -> list[int]:
-    """Edges admissible for single-edge contraction."""
+    """Edges admissible for single-edge contraction: all but those that
+    form a face on their own."""
     g.require_valid(require_stability=False)
-    return [e for e in range(g.num_edges) if not _forbidden_faces(g, {e})]
+    alone = {cyc[0] >> 1 for cyc in g.sigma2_cycles
+             if len(cyc) <= 2 and cyc[0] >> 1 == cyc[-1] >> 1}
+    return [e for e in range(g.num_edges) if e not in alone]
 
 
-def _skip_map(g: StableRibbonGraph, contract: set[int]) -> dict[int, int]:
-    """First-return of ``sigma2`` on the half-edges of the kept edges."""
-    s2 = g.sigma2
-    out = {}
-    for h in range(g.num_half_edges):
-        if (h >> 1) in contract:
-            continue
-        x = s2[h]
-        while (x >> 1) in contract:
-            x = s2[x]
-        out[h] = x
-    return out
+def _compact(kept: list[int]) -> dict[int, int]:
+    """Old half-edge -> new half-edge for the edges ``kept``, listed in
+    increasing order and renumbered ``0, 1, ...`` (so pairing is
+    preserved)."""
+    return {2 * old_e + side: 2 * new_e + side
+            for new_e, old_e in enumerate(kept) for side in (0, 1)}
 
 
-def _compact_relabel(g: StableRibbonGraph, contract: set[int]) -> dict[int, int]:
-    """Old half-edge -> new half-edge map after deleting contracted edges,
-    keeping the order of the surviving edges (so pairing is preserved)."""
-    kept = [e for e in range(g.num_edges) if e not in contract]
-    out = {}
-    for new_e, old_e in enumerate(kept):
-        out[2 * old_e] = 2 * new_e
-        out[2 * old_e + 1] = 2 * new_e + 1
+def _first_return(perm, remap: dict[int, int]) -> list[int]:
+    """First return of ``perm`` to the half-edges ``remap`` keeps: each is
+    sent to the first of its forward images that is kept, in new labels."""
+    out = [0] * len(remap)
+    for h, new_h in remap.items():
+        x = perm[h]
+        while x not in remap:
+            x = perm[x]
+        out[new_h] = remap[x]
     return out
 
 
 def _rebuild(g: StableRibbonGraph, contract: set[int],
-             merged_blocks: list[tuple[set[int], int]]) -> StableRibbonGraph:
+             merged_blocks: list[tuple[tuple[int, ...], int]]) -> StableRibbonGraph:
     """Assemble the contracted graph.
 
-    ``merged_blocks`` lists ``(old half-edge set, defect)`` for the new
-    vertices; the sets (minus contracted half-edges) must partition the
+    ``merged_blocks`` lists ``(old half-edges, defect)`` for the new
+    vertices; the blocks (minus contracted half-edges) must partition the
     surviving half-edges.  New vertex cycles come from
     ``sigma0' = sigma1' sigma2'^{-1}`` and are grouped by the given blocks.
     """
-    skip = _skip_map(g, contract)
-    remap = _compact_relabel(g, contract)
-    n_new = 2 * (g.num_edges - len(contract))
+    remap = _compact([e for e in range(g.num_edges) if e not in contract])
 
     # sigma2' on the new labels, then sigma0'(h) = sigma1'(sigma2'^{-1}(h))
-    s2_new = [0] * n_new
-    for h_old, img_old in skip.items():
-        s2_new[remap[h_old]] = remap[img_old]
+    s2_new = _first_return(g.sigma2, remap)
+    n_new = len(s2_new)
     s2_inv = [0] * n_new
     for h, img in enumerate(s2_new):
         s2_inv[img] = h
@@ -91,7 +85,7 @@ def _rebuild(g: StableRibbonGraph, contract: set[int],
     vertices = []
     assigned = [False] * n_new
     for old_block, defect in merged_blocks:
-        new_block = sorted(remap[h] for h in old_block if (h >> 1) not in contract)
+        new_block = sorted(remap[h] for h in old_block if h in remap)
         if not new_block:
             raise AssertionError("contraction produced an empty vertex")
         block_cycles = cycles(s0_new, new_block)
@@ -107,10 +101,9 @@ def _rebuild(g: StableRibbonGraph, contract: set[int],
     new_labels = {}
     for cyc in g.sigma2_cycles:
         lab = g.face_label_of[cyc[0]]
-        survivors = [h for h in cyc if (h >> 1) not in contract]
-        new_labels[min(remap[h] for h in survivors)] = lab
+        new_labels[min(remap[h] for h in cyc if h in remap)] = lab
 
-    return StableRibbonGraph(HalfEdgeSet(n_new), tuple(vertices), new_labels)
+    return StableRibbonGraph(n_new, tuple(vertices), new_labels)
 
 
 def contract_edge(g: StableRibbonGraph, e: int) -> StableRibbonGraph:
@@ -128,25 +121,18 @@ def contract_edge(g: StableRibbonGraph, e: int) -> StableRibbonGraph:
     v0, v1 = g.vertex_of[h0], g.vertex_of[h1]
     vs = g.vertices
 
-    merged: list[tuple[set[int], int]] = []
     if v0 != v1:
         # non-loop: endpoints merge, defects add
-        for vi, v in enumerate(vs):
-            if vi == v0:
-                merged.append((set(vs[v0].block) | set(vs[v1].block),
-                               vs[v0].defect + vs[v1].defect))
-            elif vi != v1:
-                merged.append((set(v.block), v.defect))
+        block = vs[v0].block + vs[v1].block
+        defect = vs[v0].defect + vs[v1].defect
     else:
-        cyc0 = next(c for c in vs[v0].cycles if h0 in c)
-        same_cycle = h1 in cyc0
-        bump = 0 if same_cycle else 1
-        for vi, v in enumerate(vs):
-            if vi == v0:
-                merged.append((set(v.block), v.defect + bump))
-            else:
-                merged.append((set(v.block), v.defect))
-
+        # loop: the defect rises by one iff its halves lie in two cycles
+        same_cycle = any(h0 in c and h1 in c for c in vs[v0].cycles)
+        block = vs[v0].block
+        defect = vs[v0].defect + (0 if same_cycle else 1)
+    # the merged vertex takes v0's place; a non-loop's v1 is dropped
+    merged = [(block, defect) if vi == v0 else (v.block, v.defect)
+              for vi, v in enumerate(vs) if vi == v0 or vi != v1]
     return _rebuild(g, {e}, merged)
 
 
@@ -166,11 +152,13 @@ def induced_component_graph(g: StableRibbonGraph, component: set[int] | list[int
 
     ``sigma0`` restricted to the component sends a half-edge to the first
     of its forward vertex-cycle images lying in the component; defects
-    restrict.  Faces of the result are labelled ``1..k`` by minimal
-    half-edge (they do not correspond to faces of ``g``); if the component
-    is all of ``g``'s edges the original labels are reproduced.  The result
-    can fail the stability clause, which is fine for its only use: its
-    genus is the defect of the collapsed vertex.
+    restrict.  Faces of the result are labelled ``1..k``: first the faces
+    of ``g`` whose half-edges all lie in the component (each is also a
+    face of the result), in the order of ``g``'s labels, then the others by
+    least half-edge.  So if the component is all of ``g``'s edges the
+    original labels are reproduced.  The result can fail the stability
+    clause, which is fine for its only use: its genus is the defect of the
+    collapsed vertex.
     """
     g.require_valid(require_stability=False)
     comp = set(component)
@@ -182,45 +170,24 @@ def induced_component_graph(g: StableRibbonGraph, component: set[int] | list[int
     if len(pieces) != 1:
         raise ContractionError(f"edge set {sorted(comp)} is not connected")
 
-    keep = sorted(comp)
-    remap = {}
-    for new_e, old_e in enumerate(keep):
-        remap[2 * old_e] = 2 * new_e
-        remap[2 * old_e + 1] = 2 * new_e + 1
-    n_new = 2 * len(keep)
-
-    s0 = g.sigma0
-    s0_new = [0] * n_new
-    for old_h, new_h in remap.items():
-        x = s0[old_h]
-        while (x >> 1) not in comp:
-            x = s0[x]
-        s0_new[new_h] = remap[x]
-
+    remap = _compact(sorted(comp))
+    s0_new = _first_return(g.sigma0, remap)
     vertices = []
     for v in g.vertices:
-        block_new = sorted(remap[h] for h in v.block if (h >> 1) in comp)
-        if not block_new:
-            continue
-        vertices.append(Vertex(cycles=cycles(s0_new, block_new), defect=v.defect))
+        block_new = sorted(remap[h] for h in v.block if h in remap)
+        if block_new:
+            vertices.append(Vertex(cycles=cycles(s0_new, block_new), defect=v.defect))
+    vertices = tuple(vertices)
 
-    sub = StableRibbonGraph(HalfEdgeSet(n_new), tuple(vertices), {})
-    # label faces: those that are faces of g keep g's label ordering first
-    old_faces = {}
-    for cyc in g.sigma2_cycles:
-        mapped = tuple(sorted(remap[h] for h in cyc if (h >> 1) in comp))
-        if len(mapped) == len(cyc):
-            old_faces[mapped] = g.face_label_of[cyc[0]]
-    keyed = []
-    for cyc in sub.sigma2_cycles:
-        ident = tuple(sorted(cyc))
-        if ident in old_faces:
-            keyed.append(((0, old_faces[ident]), cyc))
-        else:
-            keyed.append(((1, min(cyc)), cyc))
-    keyed.sort(key=lambda t: t[0])
-    labels = {cyc[0]: i + 1 for i, (_, cyc) in enumerate(keyed)}
-    return StableRibbonGraph(HalfEdgeSet(n_new), tuple(vertices), labels)
+    # a face of g inside the component is a face of the result: on its
+    # half-edges the first-return sigma2' agrees with sigma2
+    whole = {remap[h]: g.face_label_of[h] for cyc in g.sigma2_cycles
+             if all(h in remap for h in cyc) for h in cyc}
+    ordered = sorted(
+        StableRibbonGraph(len(s0_new), vertices, {}).sigma2_cycles,
+        key=lambda cyc: (0, whole[cyc[0]]) if cyc[0] in whole else (1, min(cyc)))
+    labels = {cyc[0]: i + 1 for i, cyc in enumerate(ordered)}
+    return StableRibbonGraph(len(s0_new), vertices, labels)
 
 
 def contract_set(g: StableRibbonGraph, edges: set[int] | list[int]) -> StableRibbonGraph:
@@ -243,20 +210,17 @@ def contract_set(g: StableRibbonGraph, edges: set[int] | list[int]) -> StableRib
             f"face {bad[0]} would lose all of its edges under {sorted(contract)}")
 
     comps = _components(g, contract)
-    merged: list[tuple[set[int], int]] = []
+    merged: list[tuple[tuple[int, ...], int]] = []
     consumed_vertices: set[int] = set()
     for comp in comps:
         touched = {g.vertex_of[h] for e in comp for h in (2 * e, 2 * e + 1)}
         if touched & consumed_vertices:
             raise AssertionError("components are not vertex-disjoint")
         consumed_vertices |= touched
-        block = set()
-        for vi in touched:
-            block |= set(g.vertices[vi].block)
-        defect = genus(induced_component_graph(g, comp))
-        merged.append((block, defect))
+        block = tuple(h for vi in touched for h in g.vertices[vi].block)
+        merged.append((block, genus(induced_component_graph(g, comp))))
     for vi, v in enumerate(g.vertices):
         if vi not in consumed_vertices:
-            merged.append((set(v.block), v.defect))
+            merged.append((v.block, v.defect))
 
     return _rebuild(g, contract, merged)

@@ -1,3 +1,4 @@
+import random
 import sys
 from functools import cache
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ribboncells.enumeration import enumerate_trivalent
-from ribboncells.permgraph import HalfEdgeSet, StableRibbonGraph, Vertex
+from ribboncells.permgraph import StableRibbonGraph, Vertex
+from ribboncells.sampling import random_stable_graph
 
 
 @cache
@@ -16,16 +18,24 @@ def trivalent_classes(g, n):
     return enumerate_trivalent(g, n)
 
 
+@cache
+def seeded_draws():
+    """2,000 seeded ``random_stable_graph(max_edges=9)`` draws, made once
+    per test session."""
+    rng = random.Random(25)
+    return tuple(random_stable_graph(rng, max_edges=9) for _ in range(2000))
+
+
 def make_graph(vertex_data, face_labels=None):
     """vertex_data: list of (cycles, defect); labels by minimal half-edge
     when omitted."""
     vertices = tuple(Vertex(cycles=tuple(tuple(c) for c in cycles), defect=defect)
                      for cycles, defect in vertex_data)
     nh = sum(v.degree for v in vertices)
-    g = StableRibbonGraph(HalfEdgeSet(nh), vertices, face_labels or {})
+    g = StableRibbonGraph(nh, vertices, face_labels or {})
     if face_labels is None:
         labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}
-        g = StableRibbonGraph(HalfEdgeSet(nh), vertices, labels)
+        g = StableRibbonGraph(nh, vertices, labels)
     return g
 
 

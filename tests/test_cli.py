@@ -82,6 +82,39 @@ class TestContract:
         assert "error" in capsys.readouterr().err
 
 
+def _theta_with(**changes):
+    """The theta graph's JSON object with some fields replaced."""
+    d = permgraph.to_json_dict(ordinary_graph([(0, 2, 4), (1, 3, 5)]))
+    d.update(changes)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text", [
+    _theta_with(face_labels=[]),
+    _theta_with(face_labels="x"),
+    _theta_with(face_labels={" 0": 1}),
+    _theta_with(face_labels={"0": "1"}),
+    '{"half_edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"half_edges": 2, "vertices": [{"cycles": [[0, 1.5]], "defect": 1}], '
+    '"face_labels": {"0": 1}}',
+    _theta_with(half_edges=True),
+    _theta_with(half_edges="6"),
+    _theta_with(vertices=[{"cycles": [[0, 2, 4]], "defect": 1.9},
+                          {"cycles": [[1, 3, 5]], "defect": 0}]),
+], ids=["labels-array", "labels-string", "label-key-space", "label-string",
+        "deep-array", "float-half-edge", "bool-count", "string-count",
+        "float-defect"])
+@pytest.mark.parametrize("command", [["inspect"], ["contract", "--edges", "0", "--graph"]],
+                         ids=["inspect", "contract"])
+def test_graph_file_of_wrong_json_types(tmp_path, capsys, text, command):
+    # JSON that is no graph object is a usage error, never a traceback
+    # nor a silently rounded value
+    f = tmp_path / "g.json"
+    f.write_text(text)
+    assert main(command + [str(f)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--genus", "-1", "--faces", "5", "--out"],
     ["cells", "--genus", "-1", "--faces", "5", "--perimeters", "1,2,3,4,5",

@@ -42,7 +42,7 @@ class TestCanonicalKey:
 
     def test_labels_matter(self, planar_theta):
         relabelled = StableRibbonGraph(
-            planar_theta.half_edges, planar_theta.vertices,
+            planar_theta.num_half_edges, planar_theta.vertices,
             dict(zip(planar_theta.face_labels,
                      [2, 3, 1])))
         # may or may not be isomorphic, but the brute-force oracle decides
@@ -130,7 +130,7 @@ def brute_trivalent_classes(g, n):
             continue
         reps = [cyc[0] for cyc in gph.sigma2_cycles]
         for lab in perms(range(1, n + 1)):
-            cand = StableRibbonGraph(gph.half_edges, gph.vertices,
+            cand = StableRibbonGraph(gph.num_half_edges, gph.vertices,
                                      dict(zip(reps, lab)))
             if not any(brute_force_isomorphic(cand, x) for x in found):
                 found.append(cand)
@@ -307,7 +307,7 @@ def first_least_only(g):
 def search_outcome(g, search):
     """Both keys, both lists of least orders and the automorphism elements
     of a copy of ``g`` whose unlabelled search is ``search``."""
-    copy = StableRibbonGraph(g.half_edges, g.vertices, g.face_labels)
+    copy = StableRibbonGraph(g.num_half_edges, g.vertices, g.face_labels)
     best, orders = search(copy)
     copy.__dict__["_least"] = {False: (best + ((),), orders)}
     return (canonical_key(copy, labelled=False), canonical_key(copy),

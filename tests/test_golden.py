@@ -4,8 +4,9 @@ Class files, ledgers and boundary lists name graphs by their canonical
 keys, and the property suites replay seeded draws.  A change to either
 must be deliberate, so the bytes are pinned here: the keys and
 representative graphs of the trivalent classes, the sorted canonical
-keys and boundary triples of two cell closures, and the JSON of the first
-draws of the stable-graph sampler for one seed.  The per-cell ledgers of
+keys and boundary triples of two cell closures, the JSON of the first
+draws of the stable-graph sampler for one seed, and the JSON of the
+contractions of seeded draws.  The per-cell ledgers of
 the E <= 6 correlators and the automorphism groups of the closure classes
 are pinned too, so a rewrite of the form algebra or of the automorphism
 search must reproduce them exactly; so are the ledgers at perimeters on
@@ -31,8 +32,10 @@ import pytest
 from conftest import trivalent_classes
 from ribboncells.enumeration import automorphisms, enumerate_cells, enumerate_trivalent
 from ribboncells.intersect import intersection_number
-from ribboncells.permgraph import to_json_dict
+from ribboncells.permgraph import dumps, to_json_dict
 from ribboncells.sampling import random_stable_graph
+from ribboncells.stable import (ContractionError, contract_edge, contract_set,
+                                contractible_edges, induced_component_graph)
 
 
 @pytest.mark.parametrize("g, n, digest", [
@@ -101,6 +104,42 @@ def test_seeded_draws():
     text = json.dumps(draws, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "1366bf032f52dd6e5cb2ccf0718e85d293c3af099980094d16470c9f4aa1fec0"
+
+
+def _connected_subset(rng, g):
+    """A random connected edge subset grown from one random edge."""
+    vert = g.vertex_of
+    e = rng.randrange(g.num_edges)
+    comp, touched = {e}, {vert[2 * e], vert[2 * e + 1]}
+    for _ in range(rng.randint(0, g.num_edges - 1)):
+        frontier = [f for f in range(g.num_edges) if f not in comp
+                    and (vert[2 * f] in touched or vert[2 * f + 1] in touched)]
+        if not frontier:
+            break
+        f = rng.choice(frontier)
+        comp.add(f)
+        touched |= {vert[2 * f], vert[2 * f + 1]}
+    return comp
+
+
+def test_contraction_outputs():
+    # the raw vertex order, cycles and face labels of every contraction
+    # result, which the enumerate and cells files write
+    rng = random.Random(25)
+    h = hashlib.sha256()
+    for _ in range(300):
+        g = random_stable_graph(rng, max_edges=8)
+        for e in contractible_edges(g):
+            h.update(dumps(contract_edge(g, e)).encode() + b"\n")
+        subset = {e for e in range(g.num_edges) if rng.random() < 0.5}
+        try:
+            h.update(dumps(contract_set(g, subset)).encode() + b"\n")
+        except ContractionError:
+            h.update(b"rejected\n")
+        comp = _connected_subset(rng, g)
+        h.update(dumps(induced_component_graph(g, comp)).encode() + b"\n")
+    assert h.hexdigest() == \
+        "fb90c96d874b2e1bec7c92e5456caea087ccb3ef54c145620d998fca35feae76"
 
 
 LEDGER_DIGESTS = {

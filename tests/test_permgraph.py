@@ -1,16 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_graph
+from conftest import make_graph, seeded_draws
 from oracles import compose, cycles_of, invert
 
 from ribboncells import permgraph
-from ribboncells.permgraph import (HalfEdgeSet, InvalidGraphError,
-                                   StableRibbonGraph, Vertex, faces,
-                                   from_json_dict, genus, loads, ordinary_graph,
-                                   perimeters, relabel, to_json_dict, validate)
+from ribboncells.enumeration import enumerate_cells
+from ribboncells.permgraph import (InvalidGraphError, StableRibbonGraph,
+                                   Vertex, faces, from_json_dict, genus, loads,
+                                   ordinary_graph, perimeters, relabel,
+                                   to_json_dict, union_find, validate)
 from ribboncells.sampling import random_edge_relabelling, random_stable_graph
 
 
@@ -48,7 +50,7 @@ class TestValidate:
         assert validate(g) is None
 
     def test_no_faces_rejected(self):
-        g = StableRibbonGraph(HalfEdgeSet(0), (Vertex(cycles=(), defect=2),), {})
+        g = StableRibbonGraph(0, (Vertex(cycles=(), defect=2),), {})
         assert validate(g) is not None
 
     def test_disconnected_rejected(self):
@@ -59,12 +61,12 @@ class TestValidate:
     def test_overlapping_blocks_rejected(self):
         vertices = (Vertex(cycles=((0, 1),), defect=1),
                     Vertex(cycles=((0,), (1,)), defect=0))
-        g = StableRibbonGraph(HalfEdgeSet(2), vertices, {0: 1})
+        g = StableRibbonGraph(2, vertices, {0: 1})
         v = validate(g)
         assert v is not None and v.kind == "partition"
 
     def test_bad_labels_rejected(self, theta):
-        g = StableRibbonGraph(theta.half_edges, theta.vertices, {0: 2})
+        g = StableRibbonGraph(theta.num_half_edges, theta.vertices, {0: 2})
         v = validate(g)
         assert v is not None and v.kind == "face-labels"
 
@@ -122,6 +124,65 @@ class TestGenus:
             g = random_stable_graph(rng, max_edges=6)
             psi = random_edge_relabelling(rng, g.num_edges)
             assert genus(relabel(g, psi)) == genus(g)
+
+
+def reference_genus(g):
+    """The split-component genus that the Euler-count ``genus`` replaced,
+    kept verbatim as a second route: a union-find over the vertex cycles
+    finds the closed surfaces, whose genera are summed with the nodes."""
+    g.require_valid(require_stability=False)
+
+    # split components: union-find over vertex-permutation cycles via edges
+    vertex_cycles = [cyc for v in g.vertices for cyc in v.cycles]
+    cycle_of = [-1] * g.num_half_edges
+    for ci, cyc in enumerate(vertex_cycles):
+        for h in cyc:
+            cycle_of[h] = ci
+    root = union_find(len(vertex_cycles), zip(cycle_of[0::2], cycle_of[1::2]))
+    chi = Counter(root)  # Euler characteristic of each split component
+    for e in range(g.num_edges):
+        chi[root[cycle_of[2 * e]]] -= 1
+    for cyc in g.sigma2_cycles:
+        chi[root[cycle_of[cyc[0]]]] += 1
+
+    genus_sum = 0
+    for c in chi.values():
+        if c % 2 != 0:
+            raise AssertionError("odd Euler characteristic in split component")
+        genus_sum += (2 - c) // 2
+
+    num_components = len(chi)
+    delta = sum(len(v.cycles) - 1 for v in g.vertices)
+    arithmetic = genus_sum + delta - num_components + 1
+    if arithmetic < 0:
+        raise AssertionError("negative arithmetic genus")
+    return arithmetic + sum(v.defect for v in g.vertices)
+
+
+def closure_graphs():
+    return [c.graph for gn in ((0, 4), (1, 2), (2, 1))
+            for c in enumerate_cells(*gn).classes.values()]
+
+
+class TestGenusAgainstReference:
+    def test_seeded_draws(self):
+        for g in seeded_draws():
+            assert genus(g) == reference_genus(g)
+
+    def test_closure_classes(self):
+        graphs = closure_graphs()
+        assert len(graphs) == 354 + 62 + 252
+        for g in graphs:
+            assert genus(g) == reference_genus(g)
+
+    def test_comparison_catches_a_mutant(self):
+        # counting vertices where the formula counts vertex cycles must
+        # show up on some draw, or the comparison above proves nothing
+        def mutant(g):
+            twice = len(g.vertices) + g.num_edges - g.num_faces
+            return 1 - len(g.vertices) + Fraction(twice, 2) + sum(g.defects)
+
+        assert any(mutant(g) != reference_genus(g) for g in seeded_draws())
 
 
 class TestPerimeters:

@@ -247,6 +247,55 @@ class TestIntegration:
         assert c.boundary().boundary().is_zero()
 
 
+def reference_boundary(chain):
+    """The boundary before facets were sorted, kept verbatim as a second
+    route: each facet keeps its vertex order, so a facet that two pieces
+    share with opposite orientations does not cancel."""
+    if chain.degree == 0:
+        return Chain(0, [])
+    out = []
+    for coeff, piece in chain.terms:
+        for i in range(len(piece.vertices)):
+            face = piece.vertices[:i] + piece.vertices[i + 1:]
+            out.append((coeff * (-1) ** i, Piece(piece.polytope, face)))
+    return Chain(chain.degree - 1, out)
+
+
+class TestBoundary:
+    def test_interior_facets_cancel_on_the_corpus(self):
+        from ribboncells import suites
+
+        sizes = {name: len(chain.boundary().terms)
+                 for name, (_, chain) in suites._stokes_corpus().items()}
+        assert sizes == {"cube": 12, "square": 4, "triangle": 3,
+                         "two-squares": 8}
+
+    def test_boundary_squared_zero_in_any_vertex_order(self):
+        rng = random.Random(26)
+        grid = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        for _ in range(100):
+            k = rng.randint(1, 3)
+            chain = Chain(k, [(F(rng.randint(1, 3)),
+                               Piece.create("box", rng.sample(grid, k + 1)))
+                              for _ in range(rng.randint(1, 4))])
+            assert not chain.boundary().is_zero()
+            assert chain.boundary().boundary().is_zero()
+
+    def test_integrals_match_reference_boundary(self):
+        from ribboncells import suites
+
+        corpus = suites._stokes_corpus()
+        names = sorted(corpus)
+        rng = random.Random(27)
+        for _ in range(50):
+            cx, chain = corpus[names[rng.randrange(len(names))]]
+            k = chain.degree - 1
+            form = FormOnComplex(cx, k, {name: random_form(rng, poly.dim, k)
+                                         for name, poly in cx.polytopes.items()})
+            assert integrate(form, chain.boundary()) == \
+                integrate(form, reference_boundary(chain))
+
+
 class TestStokes:
     def test_unit_square_x_dy(self):
         cx = single_square_complex()

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from conftest import make_graph
+from conftest import make_graph, seeded_draws
 from oracles import brute_force_isomorphic
 
 from ribboncells.enumeration import canonical_key, isomorphic
 from ribboncells.permgraph import faces, genus, validate
 from ribboncells.sampling import random_stable_graph
-from ribboncells.stable import (ContractionError, contract_edge, contract_set,
+from ribboncells.stable import (ContractionError, _forbidden_faces,
+                                contract_edge, contract_set,
                                 contractible_edges, induced_component_graph)
 
 
@@ -96,6 +97,14 @@ def admissible_pairs(g):
                     continue
                 ok.append((e, f))
     return ok
+
+
+def test_contractible_edges_match_per_edge_rule():
+    # the one-pass rule against the per-edge rule it replaced: an edge is
+    # contractible unless contracting it alone empties some face
+    for g in seeded_draws():
+        assert contractible_edges(g) == [
+            e for e in range(g.num_edges) if not _forbidden_faces(g, {e})]
 
 
 class TestCommutativity:
