@@ -9,7 +9,7 @@ obtained by integrating curvature 2-forms over the top cells.
 
 from .permgraph import (FaceWord, InvalidGraphError, StableRibbonGraph,
                         Vertex, Violation, faces, genus, ordinary_graph,
-                        perimeters, relabel, validate)
+                        perimeters, relabel, validate, with_face_labels)
 from .stable import (ContractionError, contract_edge, contract_set,
                      contractible_edges, induced_component_graph)
 from .enumeration import (AutomorphismGroup, GraphClass, SizeGuardError,
@@ -19,7 +19,7 @@ from .enumeration import (AutomorphismGroup, GraphClass, SizeGuardError,
 __all__ = [
     "FaceWord", "InvalidGraphError", "StableRibbonGraph", "Vertex",
     "Violation", "faces", "genus", "ordinary_graph", "perimeters", "relabel",
-    "validate",
+    "validate", "with_face_labels",
     "ContractionError", "contract_edge", "contract_set", "contractible_edges",
     "induced_component_graph",
     "AutomorphismGroup", "GraphClass", "SizeGuardError", "automorphisms",

@@ -25,12 +25,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, lcm
 from typing import Sequence
 
-from .linalg import det, row_reduce, solve_affine
+from .linalg import adjugate, row_reduce
 from .permgraph import FaceWord, StableRibbonGraph, faces
 from .polyform import (AffineMap, Form, FormOnComplex, Gluing, HalfSpace,
                        Morphism, MorphismMap, Polynomial, Polytope,
@@ -111,6 +111,15 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     interior is positive in every edge.  So a single point on a wall (some
     ``l_e = 0``) is empty here even when the perturbed perimeters hold it
     and its chart volume is 1.
+
+    Everything that depends neither on p nor on the face labels is read
+    from the :func:`factorization` of the independent rows of M (the first
+    maximal independent set in label order), sorted.  Relabelling the faces
+    only permutes those rows, so every labelling of a structure shares one
+    factorization; :func:`basis_volume` says why a row permutation changes
+    nothing but the tie-break.  The cell then costs the particular solution
+    ``T p``, a check that the dependent rows hold at it, and one evaluation
+    of the basis table, in which only the eps tie-break reads the labels.
     """
     g.require_valid()
     p = [Fraction(x) for x in perimeters]
@@ -120,39 +129,133 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
         raise ValueError("perimeters must be strictly positive")
     M = incidence_matrix(g)
     E = g.num_edges
-    sol = solve_affine([list(r) for r in M], p)
-    if sol is None:
+    rows = _independent_rows(M)
+    f = factorization(tuple(sorted(M[i] for i in rows)))
+    at = {row: k for k, row in enumerate(f.rows)}
+    order = [at[M[i]] for i in rows]
+    q = [Fraction(0)] * len(rows)
+    for i, k in zip(rows, order):
+        q[k] = p[i]
+    particular = [Fraction(0)] * E
+    for col, t in zip(f.pivots, f.transform):
+        particular[col] = sum((a * b for a, b in zip(t, q)), Fraction(0))
+    # every other row is a combination of the independent ones, so the
+    # system is consistent exactly when those rows hold at the particular
+    # solution too
+    if any(sum(m * x for m, x in zip(M[i], particular)) != p[i]
+           for i in range(len(M)) if i not in rows):
         return CellPolytope(g, tuple(p), M, (), (), None, E, Fraction(0))
-    particular, basis, free = sol
-    rank = E - len(free)
-    charts = tuple(
-        (tuple(b[e] for b in basis), particular[e]) for e in range(E))
-    # a consistent system keeps its solutions on a maximal independent
-    # set of rows, which the pass needs
-    rows = range(len(M)) if rank == len(M) else row_reduce(list(zip(*M)))[2]
-    vol = basis_volume([M[i] for i in rows], [p[i] for i in rows],
-                       [e for e in range(E) if e not in free])
+    charts = tuple(zip(f.directions, particular))
+    vol = basis_volume(f, q, order)
     empty = vol == 0 or any(
         const <= 0 and not any(coeffs) for coeffs, const in charts)
-    poly = None if empty else Polytope(len(free), tuple(
+    poly = None if empty else Polytope(len(f.free), tuple(
         HalfSpace(coeffs, const, strict=True) for coeffs, const in charts))
-    return CellPolytope(g, tuple(p), M, tuple(free), charts, poly, rank, vol)
+    return CellPolytope(g, tuple(p), M, f.free, charts, poly, len(rows), vol)
 
 
-def basis_volume(rows: Sequence[Sequence[int]], perimeters: Sequence,
-                 pivots: Sequence[int]) -> Fraction:
+def _independent_rows(M: Sequence[Sequence[int]]) -> list[int]:
+    """The first maximal set of linearly independent rows of M, in row
+    order: a row is kept when it is not a combination of the kept rows
+    before it (integer elimination against their echelon form)."""
+    echelon: list[tuple[int, list[int]]] = []
+    kept = []
+    for i, row in enumerate(M):
+        v = list(row)
+        for c, b in echelon:
+            if v[c]:
+                v = [b[c] * x - v[c] * y for x, y in zip(v, b)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            echelon.append((c, v))
+            kept.append(i)
+    return kept
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """The part of the cell pass that depends only on a matrix of
+    independent incidence rows, shared by every labelling and perimeter
+    vector whose independent rows sort to ``rows``.
+
+    ``pivots`` and ``free`` are the basic and free columns of the reduced
+    row echelon form ``R = T rows``; the chart particular solution is
+    ``T p`` on the pivots, and ``directions[e]`` are the coefficients of
+    ``l_e`` over the free coordinates.  ``chart_det`` is ``|det M_P|`` on
+    the pivots.  Each entry of ``bases`` belongs to one non-singular basis
+    B and holds ``(adj, positive, y, weight)``: the integer adjugate of
+    ``M_B``, whether ``D = det M_B > 0``, ``y = w_B adj`` and
+    ``weight = denominator / den`` with ``den = |D| prod_k (-r_k D)`` (see
+    :func:`basis_volume`)."""
+
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]
+    transform: tuple[tuple[Fraction, ...], ...]
+    directions: tuple[tuple[Fraction, ...], ...]
+    chart_det: int
+    bases: tuple[tuple, ...]
+    denominator: int
+
+
+@lru_cache(maxsize=None)
+def factorization(rows: tuple[tuple[int, ...], ...]) -> Factorization:
+    """The :class:`Factorization` of linearly independent integer rows,
+    computed once per distinct tuple.
+
+    The weight ``w_e = K^e`` is generic: ``r_k D`` is ``w.z`` for the
+    integer vector z with ``z_k = D``, ``z_B = -adj(M_B) M_k``, whose
+    entries are n x n minors of columns of M.  A column of M has entries
+    >= 0 summing to at most 2, so by Hadamard every minor is at most
+    ``2^n < K`` in size, and ``sum_e z_e K^e = 0`` forces z = 0, which
+    ``z_k = D != 0`` rules out."""
+    n, E = len(rows), len(rows[0])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    rref, transform, pivots = row_reduce(rows, identity)
+    free = tuple(e for e in range(E) if e not in pivots)
+    directions = [[Fraction(0)] * len(free) for _ in range(E)]
+    for k, fc in enumerate(free):
+        directions[fc][k] = Fraction(1)
+        for r, col in zip(rref, pivots):
+            directions[col][k] = -r[fc]
+    K = 2 ** n + 1
+    w = [K ** e for e in range(E)]
+    bases = []
+    for B in combinations(range(E), n):
+        D, adj = adjugate([[row[j] for j in B] for row in rows])
+        if not D:
+            continue
+        y = tuple(sum(w[j] * a[i] for j, a in zip(B, adj)) for i in range(n))
+        den = abs(D)
+        for k in range(E):
+            if k not in B:
+                den *= sum(yi * row[k] for yi, row in zip(y, rows)) - w[k] * D
+        bases.append((tuple(map(tuple, adj)), D > 0, y, den))
+    denominator = lcm(*(abs(den) for *_, den in bases))
+    chart_det = abs(adjugate([[row[j] for j in pivots] for row in rows])[0])
+    return Factorization(
+        rows, tuple(pivots), free, tuple(map(tuple, transform)),
+        tuple(map(tuple, directions)), chart_det,
+        tuple((adj, positive, y, denominator // den)
+              for adj, positive, y, den in bases),
+        denominator)
+
+
+def basis_volume(f: Factorization, perimeters: Sequence,
+                 order: Sequence[int]) -> Fraction:
     r"""Volume of ``{l >= 0 : M l = p}`` in the chart of the free edges,
     from the feasible bases of ``M`` at ``p + (eps, eps^2, ...)``.
 
-    ``rows`` are linearly independent rows of M with their perimeters, and
-    ``pivots`` are the chart's basic columns (the complement of its free
-    edges).  A basis B (|B| = n columns with ``det M_B != 0``) is feasible
-    when every ``l_j = (M_B^{-1} (p + eps))_j`` is lexicographically
-    positive: by its sign at p, and on a tie by its first non-zero response
-    to the unit perimeter directions in row order (simulation of
-    simplicity, Edelsbrunner-Muecke 1990).  Every feasible basis is then a
-    simple vertex, and Lawrence's signed vertex formula (Math. Comp. 57,
-    1991) in the nonbasic coordinates of each vertex gives the volume
+    ``perimeters`` belong to the rows of ``f`` in their sorted order, and
+    ``order`` lists the position in ``f.rows`` of each independent row in
+    label order.  A basis B (|B| = n columns with ``D = det M_B != 0``) is
+    feasible when every ``l_j = (M_B^{-1} (p + eps))_j`` is
+    lexicographically positive: by its sign at p, and on a tie by its first
+    non-zero response to the unit perimeter directions in label order
+    (simulation of simplicity, Edelsbrunner-Muecke 1990).  Every feasible
+    basis is then a simple vertex, and Lawrence's signed vertex formula
+    (Math. Comp. 57, 1991) in the nonbasic coordinates of each vertex gives
+    the volume
 
         sum_B (w.l_B)^d |det M_P| / (d! |det M_B| prod_{k notin B} (-r_k))
 
@@ -163,51 +266,39 @@ def basis_volume(rows: Sequence[Sequence[int]], perimeters: Sequence,
     zero-dimensional cell whose point is held and 0 when no basis is
     feasible; in every other case it is the volume of the closure at p.
 
+    Only the tie-break reads the labels.  Permuting the rows of M_B by pi
+    (and p alike) multiplies D by sign(pi) and permutes the columns of
+    ``adj(M_B) = D M_B^{-1}`` by pi, times sign(pi).  So ``l_B = adj p / D``
+    is unchanged, and so are ``w_B M_B^{-1}`` and every reduced cost; the
+    term below has d factors ``-r_k D`` and the power ``(y.p)^d``, so the
+    two sign(pi)^d cancel.  The response of ``l_j`` to the unit direction
+    of a face is the entry of adj in that face's column, which is why the
+    tie-break reads the columns through ``order``.
+
     Everything runs on integers: p is scaled by the least common multiple
-    L of its denominators (the volume scales by L^d), and with
-    ``D = det M_B`` each quotient is a Cramer ratio of integer
-    determinants, ``l_j = det(M_B[col j <- p]) / D`` and
-    ``w_B M_B^{-1} = y / D`` with ``y_i = det(M_B[row i <- w_B])``.
+    L of its denominators (the volume scales by L^d).  With ``D = det M_B``,
+    ``l_B = adj P / D``, ``w.l_B = y.P / D`` with ``y = w_B adj``, and
+    ``-r_k D = y.M_k - w_k D``, so each term is ``(y.P)^d / den`` with
+    ``den = |D| prod_k (-r_k D)``, read over the common denominator of
+    the factorization.
     """
-    n, E = len(rows), len(rows[0])
+    n, E = len(f.rows), len(f.rows[0])
     d = E - n
     scale = lcm(*(Fraction(x).denominator for x in perimeters))
     P = [int(x * scale) for x in perimeters]
-    # w_e = K^e is generic: r_k D is w.z for the integer vector z with
-    # z_k = D, z_B = -adj(M_B) M_k, whose entries are n x n minors of
-    # columns of M.  A column of M has entries >= 0 summing to at most 2,
-    # so by Hadamard every minor is at most 2^n < K in size, and
-    # sum_e z_e K^e = 0 forces z = 0, which z_k = D != 0 rules out.
-    K = 2 ** n + 1
-    w = [K ** e for e in range(E)]
-    total = Fraction(0)
-    for B in combinations(range(E), n):
-        MB = [[row[j] for j in B] for row in rows]
-        D = det(MB).numerator
-        if D and all(_lex_positive(MB, j, P, D) for j in range(n)):
-            wB = [w[j] for j in B]
-            # a zero-dimensional cell has no reduced costs and its term is
-            # (w.l_B)^0 = 1, so y is needed only when d > 0
-            y = [det(MB[:i] + [wB] + MB[i + 1:]).numerator
-                 for i in range(n)] if d else []
-            den = abs(D)
-            for k in range(E):
-                if k not in B:
-                    den *= sum(yi * row[k] for yi, row in zip(y, rows)) - w[k] * D
-            total += Fraction(sum(yi * x for yi, x in zip(y, P)) ** d, den)
-    chart = abs(det([[row[j] for j in pivots] for row in rows]).numerator)
-    return total * chart / (factorial(d) * scale ** d)
-
-
-def _lex_positive(MB: list[list[int]], j: int, P: list[int], D: int) -> bool:
-    """Whether ``(M_B^{-1} (P + eps))_j > 0`` for small eps: the first
-    non-zero Cramer numerator ``det(M_B[col j <- v])`` over
-    ``v = P, e_0, e_1, ...`` has the sign of D.  The numerators over the
-    unit vectors are row j of the invertible adj(M_B), so one is non-zero."""
-    nums = (det([row[:j] + [P[r] if i < 0 else int(r == i)] + row[j + 1:]
-                 for r, row in enumerate(MB)]).numerator
-            for i in range(-1, len(MB)))
-    return (next(x for x in nums if x) > 0) == (D > 0)
+    total = 0
+    for adj, positive, y, weight in f.bases:
+        for row in adj:
+            v = sum(a * x for a, x in zip(row, P))
+            if not v:
+                # adj is invertible, so each of its rows has a non-zero entry
+                v = next(row[k] for k in order if row[k])
+            if (v > 0) != positive:
+                break
+        else:
+            total += sum(yi * x for yi, x in zip(y, P)) ** d * weight
+    return Fraction(total * f.chart_det,
+                    f.denominator * factorial(d) * scale ** d)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
 reports an invalid graph (``stable: False`` and its first violation) and
 still exits 0; an unreadable or malformed file exits 2, and so do a
 malformed number list and ``check --cases`` or ``--jobs`` below 1.  Usage
-errors print ``usage error: ...`` on stderr.  All randomness is seedable.
+errors print ``usage error: ...`` on stderr.  Numbers in ``--perimeters``
+and ``--points`` are integers, decimals or fractions (``19/3``); exponent
+notation (``1e5``) is refused as a bad list entry, since its value can
+have far more digits than its text.  All randomness is seedable.
 """
 
 from __future__ import annotations
@@ -215,14 +218,14 @@ def _parse_qqi(token: str) -> QQi | str:
         # split a+bi / a-bi at the sign separating the parts
         for k in range(1, len(body)):
             if body[k] in "+-" and body[k - 1] not in "+-/":
-                return QQi.of(Fraction(body[:k]), _imaginary(body[k:]))
+                return QQi.of(_rational(body[:k]), _imaginary(body[k:]))
         return QQi.of(0, _imaginary(body))
-    return QQi.of(Fraction(token), 0)
+    return QQi.of(_rational(token), 0)
 
 
 def _imaginary(coeff: str) -> Fraction:
     """The coefficient of i; a bare sign (or nothing) stands for 1."""
-    return Fraction(coeff + "1" if coeff in ("", "+", "-") else coeff)
+    return _rational(coeff + "1" if coeff in ("", "+", "-") else coeff)
 
 
 def cmd_model0(args) -> int:
@@ -287,8 +290,17 @@ def _parse_int_list(text: str) -> list[int]:
     return _parse_list(text, int)
 
 
+def _rational(token: str) -> Fraction:
+    """``Fraction(token)`` without exponent notation, which ``Fraction``
+    would expand: ``1e100000000`` is a 10^8-digit integer, so the memory
+    taken would not be bounded by the length of the input."""
+    if "e" in token.lower():
+        raise ValueError(f"exponent notation is not accepted: {token!r}")
+    return Fraction(token)
+
+
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(_parse_list(text, Fraction))
+    return tuple(_parse_list(text, _rational))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .permgraph import StableRibbonGraph, cycles, ordinary_graph
+from .permgraph import (StableRibbonGraph, cycles, ordinary_graph,
+                        with_face_labels)
 from .stable import contract_edge, contractible_edges
 
 
@@ -317,7 +318,7 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
         search = _least_serialization(graph, False)
         for labelling in permutations(range(1, n + 1)):
             labels = dict(zip(face_reps, labelling))
-            cand = StableRibbonGraph(graph.num_half_edges, graph.vertices, labels)
+            cand = with_face_labels(graph, labels)
             # the structure of ``graph``, so its unlabelled search
             cand.__dict__["_least"] = {False: search}
             key = canonical_key(cand)

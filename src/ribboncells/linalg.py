@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals: elimination, solving,
-nullspaces, determinants and Pfaffians.  Matrices are lists of lists of
-Fractions; nothing here is meant for large systems."""
+nullspaces, determinants, integer adjugates and Pfaffians.  Matrices are
+lists of lists of Fractions (of ints for :func:`adjugate`); nothing here is
+meant for large systems."""
 
 from __future__ import annotations
 
@@ -106,8 +107,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     m = []
     scale = 1
     for row in rows:
-        # the 0/1/2 minors of the cell basis pass are integer already;
-        # skipping their conversion makes that pass about a third faster
+        # integer rows, such as incidence minors, need no conversion
         if not all(type(x) is int for x in row):
             xs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
                   for x in row]
@@ -134,6 +134,47 @@ def det(rows: Sequence[Sequence]) -> Fraction:
                 row[j] = (a * row[j] - b * top[j]) // prev
         prev = a
     return Fraction(sign * prev, scale)
+
+
+def adjugate(rows: Sequence[Sequence[int]]
+             ) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate of a square integer matrix S, so that
+    ``S adj = adj S = det I``, by fraction-free Gauss-Jordan elimination
+    of ``[S | I]``; the adjugate is ``None`` when ``det = 0``.
+
+    Step k takes a non-zero pivot a_k in column k at or below row k (a row
+    swap flips the sign) and replaces every other row by
+    ``(a_k row - row[k] pivot_row) / a_{k-1}``, with a_{-1} = 1.  The
+    division is exact.  A swap at step k exchanges two rows that every
+    earlier step treated alike, so the run is that of a swap-free
+    elimination of ``Q [S | I]`` for one row permutation Q.  For that
+    matrix, after step k, entry (i, j) is the minor on rows {0..k, i} and
+    columns {0..k, j} when i > k (Sylvester's identity, as in Bareiss's
+    determinant), and for i <= k it is the minor on rows {0..k} and
+    columns {0..k} with column i replaced by column j (Cramer's rule on
+    the leading block).  Both are integer determinants.  At the end the
+    left block is ``a I`` with ``a = det(Q S)``, and the right block is
+    the row-operation product itself, ``a (Q S)^-1 Q = a S^-1``; the
+    sign of Q turns a into det S and the block into adj S."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        a = top[k]
+        for i, row in enumerate(m):
+            if i != k:
+                b = row[k]
+                m[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def pfaffian(rows: Sequence[Sequence]) -> Fraction:

@@ -271,18 +271,50 @@ def ordinary_graph(vertex_cycles: Iterable[Iterable[int]],
     nh = sum(v.degree for v in vertices)
     g = StableRibbonGraph(nh, vertices, face_labels or {})
     if face_labels is None:
-        labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}
-        g = StableRibbonGraph(nh, vertices, labels)
+        g = with_face_labels(
+            g, {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)})
     return g
+
+
+#: Cached values of a graph that do not read its face labels.
+_STRUCTURE_CACHES = ("sigma0", "sigma0_inv", "sigma2", "sigma2_cycles",
+                     "vertex_of", "_structure")
+
+
+def with_face_labels(g: StableRibbonGraph,
+                     face_labels: Mapping[int, int]) -> StableRibbonGraph:
+    """The structure of ``g`` carrying ``face_labels``.  The copy shares
+    what ``g`` has already derived from its vertices (the permutations, the
+    face cycles and the structural part of :func:`validate`), so
+    validating it checks only the label map."""
+    out = StableRibbonGraph(g.num_half_edges, g.vertices, face_labels)
+    for name in _STRUCTURE_CACHES:
+        if name in g.__dict__:
+            out.__dict__[name] = g.__dict__[name]
+    return out
 
 
 def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
+    The checks run in this order: half-edge count and partition, then
+    connectivity, then stability, then the face labels.  Everything before
+    the labels reads only the vertices, and its outcome is remembered per
+    instance and kept by :func:`with_face_labels`.
+
     With ``require_stability=False`` the genus-defect stability clause is
     skipped (the induced first-return structures of contraction components
     may legitimately fail it).
     """
+    if "_structure" not in g.__dict__:
+        g.__dict__["_structure"] = _structure_violation(g)
+    v = g.__dict__["_structure"]
+    if v is None and require_stability:
+        v = _stability_violation(g)
+    return v if v is not None else _label_violation(g)
+
+
+def _structure_violation(g: StableRibbonGraph) -> Violation | None:
     n = g.num_half_edges
     if n <= 0 or n % 2 != 0:
         return Violation("half-edges", f"count must be a positive even integer, got {n}")
@@ -308,7 +340,28 @@ def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation 
         return Violation("partition", f"{n - len(seen)} half-edges belong to no "
                                       f"vertex, first {missing}")
 
-    # face labels: bijection from sigma2-cycles onto {1..n_faces}, n_faces >= 1
+    # connectivity of the underlying graph (vertex blocks joined by edges)
+    vert = g.vertex_of
+    roots = set(union_find(len(g.vertices), zip(vert[0::2], vert[1::2])))
+    if len(roots) > 1:
+        return Violation("connectivity", f"graph has {len(roots)} components")
+    return None
+
+
+def _stability_violation(g: StableRibbonGraph) -> Violation | None:
+    for vi, v in enumerate(g.vertices):
+        if v.degree == 1 and v.defect == 0:
+            return Violation(
+                "stability", f"vertex {vi} has degree 1 and genus defect 0")
+        if (v.degree == 2 and len(v.cycles) == 1 and v.defect == 0):
+            return Violation(
+                "stability",
+                f"vertex {vi} is a degree-2 transposition with genus defect 0")
+    return None
+
+
+def _label_violation(g: StableRibbonGraph) -> Violation | None:
+    """Face labels: a bijection from the sigma2-cycles onto {1..n}."""
     face_cycles = g.sigma2_cycles
     if not face_cycles:
         return Violation("faces", "graph has no faces; at least one numbered face required")
@@ -325,22 +378,6 @@ def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation 
     if sorted(labels) != list(range(1, len(face_cycles) + 1)):
         return Violation("face-labels", f"labels {sorted(labels)} are not a "
                                         f"bijection onto 1..{len(face_cycles)}")
-
-    # connectivity of the underlying graph (vertex blocks joined by edges)
-    vert = g.vertex_of
-    roots = set(union_find(len(g.vertices), zip(vert[0::2], vert[1::2])))
-    if len(roots) > 1:
-        return Violation("connectivity", f"graph has {len(roots)} components")
-
-    if require_stability:
-        for vi, v in enumerate(g.vertices):
-            if v.degree == 1 and v.defect == 0:
-                return Violation(
-                    "stability", f"vertex {vi} has degree 1 and genus defect 0")
-            if (v.degree == 2 and len(v.cycles) == 1 and v.defect == 0):
-                return Violation(
-                    "stability",
-                    f"vertex {vi} is a degree-2 transposition with genus defect 0")
     return None
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .permgraph import StableRibbonGraph, Vertex, cycles, validate
+from .permgraph import (StableRibbonGraph, Vertex, cycles, validate,
+                        with_face_labels)
 
 
 def random_stable_graph(rng: random.Random, max_edges: int = 8) -> StableRibbonGraph:
@@ -35,8 +36,8 @@ def random_stable_graph(rng: random.Random, max_edges: int = 8) -> StableRibbonG
                 v = Vertex(cycles=v.cycles, defect=rng.randint(1, 2))
             vertices.append(v)
         g = StableRibbonGraph(nh, tuple(vertices), {})
-        labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}
-        g = StableRibbonGraph(nh, tuple(vertices), labels)
+        g = with_face_labels(
+            g, {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)})
         if validate(g) is None:
             return g
 

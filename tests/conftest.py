@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ribboncells.enumeration import enumerate_trivalent
-from ribboncells.permgraph import StableRibbonGraph, Vertex
+from ribboncells.permgraph import StableRibbonGraph, Vertex, with_face_labels
 from ribboncells.sampling import random_stable_graph
 
 
@@ -34,8 +34,8 @@ def make_graph(vertex_data, face_labels=None):
     nh = sum(v.degree for v in vertices)
     g = StableRibbonGraph(nh, vertices, face_labels or {})
     if face_labels is None:
-        labels = {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)}
-        g = StableRibbonGraph(nh, vertices, labels)
+        g = with_face_labels(
+            g, {cyc[0]: i + 1 for i, cyc in enumerate(g.sigma2_cycles)})
     return g
 
 

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial, lcm
 
 import pytest
 
-from ribboncells.cells import (PolygonFiber, cell_polytope,
-                               fiber_integral_alpha, incidence_matrix,
-                               polygon_bundle, scaled_fiber)
+from ribboncells.cells import (PolygonFiber, basis_volume, cell_polytope,
+                               factorization, fiber_integral_alpha,
+                               incidence_matrix, polygon_bundle, scaled_fiber)
+from ribboncells.cli import main
 from ribboncells.enumeration import (boundary_cells, enumerate_cells,
                                      enumerate_trivalent)
-from ribboncells.linalg import rank, solve_affine
+from ribboncells.intersect import intersection_number
+from ribboncells.linalg import det, rank, row_reduce, solve_affine
 from ribboncells.permgraph import faces, perimeters
 from ribboncells.polyform import (HalfSpace, Polytope, geometry, integrate,
                                   validate_form, volume)
@@ -183,6 +187,123 @@ class TestBasisVolume:
         force y_a = -y_b = y_c = -y_a, so y vanishes on every face."""
         for c in enumerate_trivalent(g, n):
             assert rank(incidence_matrix(c.graph)) == n
+
+
+def _cramer_volume(graph, p):
+    """Reference chart volume: the basis pass without a factorization.
+    Every basis of the independent rows (the first ones, in label order)
+    is tested with its own Cramer determinants, the ties read in label
+    order (the cell pass before each matrix was factored once)."""
+    M = incidence_matrix(graph)
+    p = [F(x) for x in p]
+    sol = solve_affine(M, p)
+    if sol is None:
+        return F(0)
+    E = graph.num_edges
+    pivots = [e for e in range(E) if e not in sol[2]]
+    picked = row_reduce(list(zip(*M)))[2]
+    rows = [list(M[i]) for i in picked]
+    n, d = len(rows), E - len(rows)
+    scale = lcm(*(p[i].denominator for i in picked))
+    P = [int(p[i] * scale) for i in picked]
+    w = [(2 ** n + 1) ** e for e in range(E)]
+
+    def lex_positive(MB, j, D):
+        for v in [P] + [[int(r == i) for r in range(n)] for i in range(n)]:
+            x = det([row[:j] + [v[r]] + row[j + 1:]
+                     for r, row in enumerate(MB)]).numerator
+            if x:
+                return (x > 0) == (D > 0)
+        raise AssertionError("singular basis")
+
+    total = F(0)
+    for B in combinations(range(E), n):
+        MB = [[row[j] for j in B] for row in rows]
+        D = det(MB).numerator
+        if not D or not all(lex_positive(MB, j, D) for j in range(n)):
+            continue
+        wB = [w[j] for j in B]
+        y = [det(MB[:i] + [wB] + MB[i + 1:]).numerator for i in range(n)]
+        den = abs(D)
+        for k in set(range(E)) - set(B):
+            den *= sum(yi * row[k] for yi, row in zip(y, rows)) - w[k] * D
+        total += F(sum(yi * x for yi, x in zip(y, P)) ** d, den)
+    chart = abs(det([[row[j] for j in pivots] for row in rows]).numerator)
+    return total * chart / (factorial(d) * scale ** d)
+
+
+def _factored_volume(graph, p, tie_order):
+    """The program's basis pass on a trivalent class (all rows
+    independent), with the ties read in label order (``"label"``) or, as a
+    negative control, in the order of the sorted rows (``"sorted"``)."""
+    M = incidence_matrix(graph)
+    f = factorization(tuple(sorted(M)))
+    at = {row: k for k, row in enumerate(f.rows)}
+    q = [None] * len(M)
+    for row, x in zip(M, p):
+        q[at[row]] = F(x)
+    order = [at[row] for row in M] if tie_order == "label" else range(len(M))
+    return basis_volume(f, q, order)
+
+
+#: Perimeter vectors of the reference comparison: on walls, then generic.
+REFERENCE = {(0, 3): [(3, 22, 19), (2, 2, 4), (5, 3, 8)],
+             (1, 1): [],
+             (0, 4): WALLS[0, 4][:3] + [(1, 1, 1, 1)],
+             (1, 2): WALLS[1, 2][:3] + [(1, 1)],
+             (2, 1): [],
+             (1, 3): [(3, 5, 8), (2, 2, 4)]}
+
+
+class TestFactorization:
+    """One factorization per sorted matrix gives what the per-basis
+    Cramer pass gives, for every labelling."""
+
+    @pytest.mark.parametrize("g, n", list(REFERENCE))
+    def test_equals_cramer_reference(self, g, n):
+        rng = random.Random(73 + 10 * g + n)
+        generic = tuple(F(rng.randint(1, 40), rng.randint(1, 5))
+                        for _ in range(n))
+        vectors = REFERENCE[g, n] + [generic, (1,) * n]
+        # every class with E <= 6 is in its closure; E = 9 takes the top
+        classes = (enumerate_cells(g, n).classes.values()
+                   if 3 * (2 * g - 2 + n) <= 6 else enumerate_trivalent(g, n))
+        held = 0
+        for c in classes:
+            for p in vectors:
+                cell = cell_polytope(c.graph, p)
+                assert cell.chart_volume == _cramer_volume(c.graph, p), \
+                    (c.key.hex(), p)
+                held += cell.chart_volume > 0
+        assert held
+
+    @pytest.mark.parametrize("p", list(permutations((3, 22, 19))))
+    def test_wall_point_held_once_in_every_label_order(self, p, capsys):
+        # 22 = 3 + 19 in every order of the faces: exactly one of the two
+        # labelled (0,3) classes holds the point at p + (eps, eps^2, ...)
+        classes = enumerate_trivalent(0, 3)
+        volumes = [cell_polytope(c.graph, p).chart_volume for c in classes]
+        assert sorted(volumes) == [0] * (len(volumes) - 1) + [1]
+        assert volumes == [_factored_volume(c.graph, p, "label")
+                           for c in classes]
+        assert main(["intersect", "--genus", "0", "--d", "0,0,0",
+                     "--perimeters", ",".join(map(str, p))]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize("p", [(3, 19, 22), (19, 3, 22)])
+    def test_ties_in_sorted_row_order_lose_the_point(self, p):
+        # negative control: the sorted rows are the same for every
+        # labelling, so reading the ties in their order instead of the
+        # labels' drops the wall point from both classes
+        assert all(_factored_volume(c.graph, p, "sorted") == 0
+                   for c in enumerate_trivalent(0, 3))
+
+    def test_cold_04_query_factors_six_matrices(self):
+        # the 64 labelled (0,4) classes permute the rows of 6 matrices
+        factorization.cache_clear()
+        result = intersection_number(0, (1, 0, 0, 0))
+        assert len(result.cells) == 64
+        assert factorization.cache_info().misses == 6
 
 
 def _odd_primes(n):

@@ -288,6 +288,24 @@ class TestModel0Cmd:
         assert err.startswith("usage error:") and repr(token) in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["intersect", "--genus", "1", "--d", "1", "--perimeters", "1e100000000"],
+     "1e100000000"),
+    (["cells", "--genus", "0", "--faces", "3", "--perimeters", "3,5,7E2",
+      "--out", "{out}"], "7E2"),
+    (["model0", "--points", "0,1,2e3+i"], "2e3+i")],
+    ids=["intersect", "cells", "model0"])
+def test_exponent_notation_refused(tmp_path, capsys, argv, token):
+    # Fraction expands exponents: the 12-character 1e100000000 would be a
+    # 10^8-digit integer, so every numeric list refuses the notation before
+    # any number is built
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: bad list entry {token!r}")
+    assert captured.out == "" and not out.exists()
+
+
 class TestCheckCmd:
     def test_suite_runs_clean(self, capsys):
         assert main(["check", "--suite", "alpha", "--seed", "5",

@@ -426,6 +426,8 @@ class TestEnumerateCells:
         (1, 1, Fraction(1, 12)),
         (0, 4, Fraction(-1)),
         (1, 2, Fraction(1, 12)),
+        # Harer-Zagier: -zeta(1 - 2g) = B_2g / 2g, here B_4 / 4
+        (2, 1, Fraction(-1, 120)),
     ])
     def test_orbifold_euler_characteristic(self, g, n, expected):
         # compactly supported Euler characteristic of the open cell
@@ -433,8 +435,10 @@ class TestEnumerateCells:
         # vertex degrees >= 3 and no defects; the expected values are the
         # classical orbifold Euler characteristics of the corresponding
         # moduli spaces times chi_c of the perimeter orthant
-        total = Fraction(0)
-        for c in enumerate_cells(g, n).classes.values():
-            if c.graph.is_ordinary():
-                total += Fraction((-1) ** c.dim, automorphisms(c.graph).order)
-        assert total == expected
+        terms = [Fraction((-1) ** c.dim, automorphisms(c.graph).order)
+                 for c in enumerate_cells(g, n).classes.values()
+                 if c.graph.is_ordinary()]
+        assert sum(terms) == expected
+        # negative control: the sum sees every class, so dropping any one
+        # of them breaks it
+        assert all(sum(terms) - t != expected for t in terms)

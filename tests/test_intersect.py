@@ -59,11 +59,12 @@ def _wedge(u, v):
     return [[a * y - x * b for x, y in zip(u, v)] for a, b in zip(u, v)]
 
 
-def _pair_reference(cell, face_label, start_side=0):
+def _pair_reference(cell, face_label, start_side=0, fewer=0):
     """The curvature form's chart matrix the long way: the edge-pair sum
     (1/p^2) sum_{a<b<=k-1} dl_{e_a} ^ dl_{e_b} over the face word rotated
     to ``start_side``, gathered per edge pair and pulled back through the
-    chart rows one pair at a time."""
+    chart rows one pair at a time.  ``fewer`` drops that many more sides
+    from the end (a wrong form, for negative controls)."""
     from ribboncells.permgraph import faces
 
     word = next(w for w in faces(cell.graph) if w.label == face_label)
@@ -71,8 +72,8 @@ def _pair_reference(cell, face_label, start_side=0):
     edges = word.edges[start_side:] + word.edges[:start_side]
     scale = 1 / cell.perimeters[face_label - 1] ** 2
     acc = {}
-    for a in range(k - 1):
-        for b in range(a + 1, k - 1):
+    for a in range(k - 1 - fewer):
+        for b in range(a + 1, k - 1 - fewer):
             ea, eb = edges[a], edges[b]
             if ea == eb:
                 continue
@@ -455,3 +456,76 @@ class TestIntersectionNumbers:
 
         with pytest.raises(SizeGuardError):
             intersection_number(0, [3, 0, 0, 0, 0, 0])
+
+
+class TestMainLemma:
+    r"""Kontsevich's main lemma (Comm. Math. Phys. 147, 1992, section 3) on
+    every cell.  With Omega = sum_i p_i^2 omega_i, the form
+    Omega^D / D! ^ dp_1 ^ ... ^ dp_n is one constant times
+    dl_1 ^ ... ^ dl_E on every top cell of (g, n).  In the chart of the
+    free edges x, dl = +-dx ^ dp / det M_P with M_P the incidence matrix on
+    the pivot edges, and Omega^D / D! = Pf(sum_i p_i^2 A_i) dx, so
+    |Pf(sum_i p_i^2 A_i)| |det M_P| is that constant.
+
+    Here it is 2^(5g-5+2n) = 2^D 2^(2g-2+n), where Kontsevich states
+    2^(2g-2+n).  The factor 2^D is the normalisation of Omega, and the
+    Laplace transform of the lemma shows it.  Integrate
+    exp(-sum_i lambda_i p_i) Omega^D / D! ^ dp over M_{g,n} x R_+^n.
+    Since [omega_i] = psi_i and
+    int_0^oo p^(2d) e^(-lambda p) dp / d! = 2^d (2d - 1)!! / lambda^(2d+1),
+    the result is 2^D sum_d <tau_d> prod_i (2d_i - 1)!! / lambda_i^(2d_i+1).
+    On a cell, sum_i lambda_i p_i = sum_e (lambda_e' + lambda_e'') l_e, so
+    the cell gives its constant times prod_e 1 / (lambda_e' + lambda_e'').
+    Kontsevich's identity pairs the (2d - 1)!! side without the 2^D with
+    2^(-V) prod_e 2 / (lambda_e' + lambda_e''), that is 2^(E-V) with
+    E - V = 2g - 2 + n.  So his Omega is half of this one, whose D-th power
+    is 2^D times larger.  By hand at (1,1): over the first five sides of the
+    face word l0 l1 l2 l0 l1 l2, p^2 omega = 2 dl_0 ^ dl_1, and
+    Omega ^ dp = 2 dl_0 ^ dl_1 ^ 2 (dl_0 + dl_1 + dl_2) = 4 dl_0 ^ dl_1 ^ dl_2,
+    which is 2^(5 - 5 + 2).
+    """
+
+    @staticmethod
+    def _values(g, n, matrices, weights):
+        """|Pf(sum_i w_i A_i)| |det M_P| over the non-empty cells of (g, n)
+        at a seeded generic p, with ``matrices(cell)`` the A_i and
+        ``weights(p)`` the w_i."""
+        from ribboncells.linalg import det, pfaffian
+
+        rng = random.Random(80 + 10 * g + n)
+        p = tuple(F(rng.randint(20, 200), rng.randint(1, 6)) for _ in range(n))
+        values = set()
+        for c in enumerate_trivalent(g, n):
+            cell = cell_polytope(c.graph, p)
+            if cell.is_empty:
+                continue
+            pivots = [e for e in range(c.graph.num_edges)
+                      if e not in cell.free_edges]
+            chart = det([[row[e] for e in pivots] for row in cell.incidence])
+            terms = list(zip(weights(p), matrices(cell)))
+            total = [[sum((w * m[j][k] for w, m in terms), F(0))
+                      for k in range(cell.dim)] for j in range(cell.dim)]
+            values.add(abs(pfaffian(total) * chart))
+        return values
+
+    @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1),
+                                      (1, 3), (0, 5)])
+    def test_one_constant_per_moduli_space(self, g, n):
+        values = self._values(g, n, _face_matrices,
+                              lambda p: [x * x for x in p])
+        assert values == {2 ** (5 * g - 5 + 2 * n)}
+
+    def test_weights_on_the_wrong_faces_break_it(self):
+        # negative control: p_(i+1)^2 on face i
+        values = self._values(0, 4, _face_matrices,
+                              lambda p: [x * x for x in p[1:] + p[:1]])
+        assert len(values) > 1
+
+    def test_forms_from_one_side_fewer_break_it(self):
+        # negative control: omega_i over the first k - 2 sides
+        def short(cell):
+            return [_pair_reference(cell, i, fewer=1)
+                    for i in range(1, cell.graph.num_faces + 1)]
+
+        values = self._values(1, 3, short, lambda p: [x * x for x in p])
+        assert len(values) > 1

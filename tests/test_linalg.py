@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from ribboncells.linalg import det, pfaffian
+from ribboncells.linalg import adjugate, det, pfaffian
 
 
 def random_antisymmetric(rng, n):
@@ -103,3 +103,29 @@ class TestDet:
     def test_mixed_entries(self):
         assert det([["1/2", 3], [F(2, 3), 4]]) == F(0)
         assert det([[F(1, 2), 2], [3, F(4, 3)]]) == F(-16, 3)
+
+
+class TestAdjugate:
+    def test_against_cofactors(self):
+        # adj[i][j] is the (j, i) cofactor; small entries with zeros make
+        # pivots vanish, so rows swap and every division is exercised
+        rng = random.Random(66)
+        for n in range(1, 6):
+            for _ in range(20):
+                m = [[rng.choice([0, 0, 1, 2, -1, 3]) for _ in range(n)]
+                     for _ in range(n)]
+                D, adj = adjugate(m)
+                assert D == cofactor_det(m)
+                if not D:
+                    assert adj is None
+                    continue
+                for i in range(n):
+                    for j in range(n):
+                        minor = [row[:i] + row[i + 1:]
+                                 for r, row in enumerate(m) if r != j]
+                        assert adj[i][j] == (-1) ** (i + j) * cofactor_det(minor)
+
+    def test_singular_and_swapped(self):
+        assert adjugate([[1, 2], [2, 4]]) == (0, None)
+        assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert adjugate([[2]]) == (2, [[1]])

@@ -1,18 +1,20 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from conftest import make_graph, seeded_draws
 from oracles import compose, cycles_of, invert
 
-from ribboncells import permgraph
+from ribboncells import permgraph, sampling
 from ribboncells.enumeration import enumerate_cells
 from ribboncells.permgraph import (InvalidGraphError, StableRibbonGraph,
                                    Vertex, faces, from_json_dict, genus, loads,
                                    ordinary_graph, perimeters, relabel,
-                                   to_json_dict, union_find, validate)
+                                   to_json_dict, union_find, validate,
+                                   with_face_labels)
 from ribboncells.sampling import random_edge_relabelling, random_stable_graph
 
 
@@ -69,6 +71,56 @@ class TestValidate:
         g = StableRibbonGraph(theta.num_half_edges, theta.vertices, {0: 2})
         v = validate(g)
         assert v is not None and v.kind == "face-labels"
+
+
+class TestWithFaceLabels:
+    """Labels put on a built structure: the copy keeps the structure's
+    derived data and checks only the label map."""
+
+    @pytest.mark.parametrize("labels", [{0: 2}, {}, {0: 1, 3: 1}, {0: 1, 9: 2}])
+    def test_bad_label_map_still_raises(self, theta, labels):
+        theta.require_valid()
+        g = with_face_labels(theta, labels)
+        assert validate(g).kind == "face-labels"
+        with pytest.raises(InvalidGraphError, match="face-labels"):
+            g.require_valid()
+
+    def test_copy_checks_only_the_labels(self, theta, monkeypatch):
+        theta.require_valid()
+        g = with_face_labels(theta, {3: 1})
+        assert g.sigma2_cycles is theta.sigma2_cycles
+
+        def forbidden(graph):
+            raise AssertionError("structure checked again")
+
+        monkeypatch.setattr(permgraph, "_structure_violation", forbidden)
+        assert g.require_valid() is g and g.face_label_of[0] == 1
+
+    def test_draws_compute_face_cycles_once(self, monkeypatch):
+        # each attempt of a draw builds one structure, reads its face
+        # cycles for the labels and validates the labelled copy, once
+        computed, attempts = [], []
+        real = StableRibbonGraph.__dict__["sigma2_cycles"].func
+
+        def counting(self):
+            computed.append(self)
+            return real(self)
+
+        def validating(g):
+            attempts.append(g)
+            return validate(g)
+
+        prop = cached_property(counting)
+        prop.__set_name__(StableRibbonGraph, "sigma2_cycles")
+        monkeypatch.setattr(StableRibbonGraph, "sigma2_cycles", prop)
+        monkeypatch.setattr(sampling, "validate", validating)
+        rng = random.Random(25)
+        draws = [random_stable_graph(rng, max_edges=9) for _ in range(2000)]
+        assert all(g.sigma2_cycles for g in draws)
+        assert len(computed) == len(attempts) >= len(draws)
+        computed.clear()
+        ordinary_graph([(0, 2, 4), (1, 3, 5)]).require_valid()
+        assert len(computed) == 1
 
 
 class TestFaces:
