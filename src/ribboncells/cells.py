@@ -30,7 +30,7 @@ from itertools import combinations
 from math import factorial, lcm
 from typing import Sequence
 
-from .linalg import adjugate, row_reduce
+from .linalg import adjugate, independent_rows, row_reduce
 from .permgraph import FaceWord, StableRibbonGraph, faces
 from .polyform import (AffineMap, Form, FormOnComplex, Gluing, HalfSpace,
                        Morphism, MorphismMap, Polynomial, Polytope,
@@ -129,7 +129,7 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
         raise ValueError("perimeters must be strictly positive")
     M = incidence_matrix(g)
     E = g.num_edges
-    rows = _independent_rows(M)
+    rows = independent_rows(M)
     f = factorization(tuple(sorted(M[i] for i in rows)))
     at = {row: k for k, row in enumerate(f.rows)}
     order = [at[M[i]] for i in rows]
@@ -152,24 +152,6 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     poly = None if empty else Polytope(len(f.free), tuple(
         HalfSpace(coeffs, const, strict=True) for coeffs, const in charts))
     return CellPolytope(g, tuple(p), M, f.free, charts, poly, len(rows), vol)
-
-
-def _independent_rows(M: Sequence[Sequence[int]]) -> list[int]:
-    """The first maximal set of linearly independent rows of M, in row
-    order: a row is kept when it is not a combination of the kept rows
-    before it (integer elimination against their echelon form)."""
-    echelon: list[tuple[int, list[int]]] = []
-    kept = []
-    for i, row in enumerate(M):
-        v = list(row)
-        for c, b in echelon:
-            if v[c]:
-                v = [b[c] * x - v[c] * y for x, y in zip(v, b)]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is not None:
-            echelon.append((c, v))
-            kept.append(i)
-    return kept
 
 
 @dataclass(frozen=True)

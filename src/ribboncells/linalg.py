@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals: elimination, solving,
-nullspaces, determinants, integer adjugates and Pfaffians.  Matrices are
-lists of lists of Fractions (of ints for :func:`adjugate`); nothing here is
-meant for large systems."""
+nullspaces, independent rows, determinants, integer adjugates and
+Pfaffians.  Matrices are lists of lists of Fractions (of ints for
+:func:`adjugate`); nothing here is meant for large systems."""
 
 from __future__ import annotations
 
@@ -92,11 +92,28 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
     return sol[1]
 
 
+def independent_rows(rows: Sequence[Sequence]) -> list[int]:
+    """Indices of the first maximal set of linearly independent rows, in
+    row order: a row is kept when it is not a combination of the kept rows
+    before it.  Each row is eliminated against the echelon form of the kept
+    ones by cross-multiplication, with no division, so integer rows stay
+    integers."""
+    echelon: list[tuple[int, list]] = []
+    kept = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, b in echelon:
+            if v[c]:
+                v = [b[c] * x - v[c] * y for x, y in zip(v, b)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            echelon.append((c, v))
+            kept.append(i)
+    return kept
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    _, _, pivots = row_reduce(rows)
-    return len(pivots)
+    return len(independent_rows(rows))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -107,14 +124,11 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     m = []
     scale = 1
     for row in rows:
-        # integer rows, such as incidence minors, need no conversion
-        if not all(type(x) is int for x in row):
-            xs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-                  for x in row]
-            k = lcm(*(x.denominator for x in xs))
-            row = [x.numerator * (k // x.denominator) for x in xs]
-            scale *= k
-        m.append(list(row))
+        xs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+              for x in row]
+        k = lcm(*(x.denominator for x in xs))
+        m.append([x.numerator * (k // x.denominator) for x in xs])
+        scale *= k
     n = len(m)
     sign, prev = 1, 1
     for col in range(n):

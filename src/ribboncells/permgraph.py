@@ -285,8 +285,8 @@ def with_face_labels(g: StableRibbonGraph,
                      face_labels: Mapping[int, int]) -> StableRibbonGraph:
     """The structure of ``g`` carrying ``face_labels``.  The copy shares
     what ``g`` has already derived from its vertices (the permutations, the
-    face cycles and the structural part of :func:`validate`), so
-    validating it checks only the label map."""
+    face cycles and the partition and connectivity results of
+    :func:`validate`), so validating it checks only the label map."""
     out = StableRibbonGraph(g.num_half_edges, g.vertices, face_labels)
     for name in _STRUCTURE_CACHES:
         if name in g.__dict__:
@@ -297,24 +297,31 @@ def with_face_labels(g: StableRibbonGraph,
 def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
-    The checks run in this order: half-edge count and partition, then
-    connectivity, then stability, then the face labels.  Everything before
-    the labels reads only the vertices, and its outcome is remembered per
-    instance and kept by :func:`with_face_labels`.
+    The checks run in this order: half-edge count and partition, face
+    labels, connectivity, stability.  The partition and connectivity
+    results read only the vertices; they are remembered per instance and
+    kept by :func:`with_face_labels`.
 
     With ``require_stability=False`` the genus-defect stability clause is
     skipped (the induced first-return structures of contraction components
     may legitimately fail it).
     """
     if "_structure" not in g.__dict__:
-        g.__dict__["_structure"] = _structure_violation(g)
-    v = g.__dict__["_structure"]
+        v = _partition_violation(g)
+        g.__dict__["_structure"] = (
+            v, None if v is not None else _connectivity_violation(g))
+    partition, connectivity = g.__dict__["_structure"]
+    if partition is not None:
+        return partition
+    v = _label_violation(g)
+    if v is None:
+        v = connectivity
     if v is None and require_stability:
         v = _stability_violation(g)
-    return v if v is not None else _label_violation(g)
+    return v
 
 
-def _structure_violation(g: StableRibbonGraph) -> Violation | None:
+def _partition_violation(g: StableRibbonGraph) -> Violation | None:
     n = g.num_half_edges
     if n <= 0 or n % 2 != 0:
         return Violation("half-edges", f"count must be a positive even integer, got {n}")
@@ -339,8 +346,12 @@ def _structure_violation(g: StableRibbonGraph) -> Violation | None:
         missing = list(islice((h for h in range(n) if h not in seen), 3))
         return Violation("partition", f"{n - len(seen)} half-edges belong to no "
                                       f"vertex, first {missing}")
+    return None
 
-    # connectivity of the underlying graph (vertex blocks joined by edges)
+
+def _connectivity_violation(g: StableRibbonGraph) -> Violation | None:
+    """Connectivity of the underlying graph (vertex blocks joined by
+    edges)."""
     vert = g.vertex_of
     roots = set(union_find(len(g.vertices), zip(vert[0::2], vert[1::2])))
     if len(roots) > 1:

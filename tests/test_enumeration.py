@@ -435,10 +435,17 @@ class TestEnumerateCells:
         # vertex degrees >= 3 and no defects; the expected values are the
         # classical orbifold Euler characteristics of the corresponding
         # moduli spaces times chi_c of the perimeter orthant
-        terms = [Fraction((-1) ** c.dim, automorphisms(c.graph).order)
-                 for c in enumerate_cells(g, n).classes.values()
+        cells = [c for c in enumerate_cells(g, n).classes.values()
                  if c.graph.is_ordinary()]
-        assert sum(terms) == expected
-        # negative control: the sum sees every class, so dropping any one
-        # of them breaks it
-        assert all(sum(terms) - t != expected for t in terms)
+        orders = [automorphisms(c.graph).order for c in cells]
+        assert sum(Fraction((-1) ** c.dim, k)
+                   for c, k in zip(cells, orders)) == expected
+        # negative controls, each of which could leave the sum unchanged:
+        # losing every class of one dimension (no dimension's signed total
+        # is 0 here), and, where some graph has automorphisms (g >= 1),
+        # counting each class with weight 1
+        for d in {c.dim for c in cells}:
+            assert sum(Fraction((-1) ** c.dim, k) for c, k in zip(cells, orders)
+                       if c.dim != d) != expected
+        if g:
+            assert sum((-1) ** c.dim for c in cells) != expected

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction as F
 
-from ribboncells.linalg import adjugate, det, pfaffian
+from ribboncells.linalg import (adjugate, det, independent_rows, pfaffian,
+                                rank, row_reduce)
 
 
 def random_antisymmetric(rng, n):
@@ -129,3 +130,24 @@ class TestAdjugate:
         assert adjugate([[1, 2], [2, 4]]) == (0, None)
         assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
         assert adjugate([[2]]) == (2, [[1]])
+
+
+class TestIndependentRows:
+    def test_against_transpose_pivots(self):
+        # the first maximal independent rows are the pivot columns of the
+        # transpose; repeated and summed rows make some rows dependent
+        rng = random.Random(26)
+        for _ in range(200):
+            cols = rng.randint(1, 6)
+            m = [[rng.choice([0, 0, 1, 2, -1]) for _ in range(cols)]
+                 for _ in range(rng.randint(1, 5))]
+            if len(m) > 1 and rng.random() < 0.5:
+                m.insert(rng.randint(0, len(m)),
+                         [a + b for a, b in zip(m[0], m[-1])])
+            expected = row_reduce(list(zip(*m)))[2]
+            assert independent_rows(m) == expected
+            assert rank(m) == len(expected)
+
+    def test_rational_rows(self):
+        assert independent_rows([[F(1, 2), 1], [1, 2], [0, F(1, 3)]]) == [0, 2]
+        assert rank([]) == 0

@@ -93,8 +93,16 @@ class TestWithFaceLabels:
         def forbidden(graph):
             raise AssertionError("structure checked again")
 
-        monkeypatch.setattr(permgraph, "_structure_violation", forbidden)
+        monkeypatch.setattr(permgraph, "_partition_violation", forbidden)
+        monkeypatch.setattr(permgraph, "_connectivity_violation", forbidden)
         assert g.require_valid() is g and g.face_label_of[0] == 1
+
+    def test_labels_are_reported_before_connectivity(self):
+        # two disjoint thetas with one label map broken: the label
+        # violation comes first, as it did before labels were split off
+        g = ordinary_graph([(0, 2, 4), (1, 3, 5), (6, 8, 10), (7, 9, 11)])
+        assert validate(g).kind == "connectivity"
+        assert validate(with_face_labels(g, {0: 1})).kind == "face-labels"
 
     def test_draws_compute_face_cycles_once(self, monkeypatch):
         # each attempt of a draw builds one structure, reads its face
