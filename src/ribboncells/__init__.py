@@ -5,6 +5,13 @@ and their contractions, isomorphism classes and automorphisms, the cell
 polytopes over fixed face perimeters, a differential-forms calculus on
 polytopal complexes, and intersection numbers of the tautological classes
 obtained by integrating curvature 2-forms over the top cells.
+
+Records on the path of an intersection query (``permgraph``, ``stable``,
+``enumeration``, ``linalg``, ``cells``, ``intersect``, ``cli``) are
+``typing.NamedTuple``\s, or plain classes with an explicit ``__init__``
+where a value is cached; importing ``dataclasses`` would cost a cold query
+more than its arithmetic.  ``polyform``, ``model0`` and ``suites`` keep
+their dataclasses and load only when a command uses them.
 """
 
 from .permgraph import (FaceWord, InvalidGraphError, StableRibbonGraph,

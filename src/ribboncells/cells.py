@@ -23,21 +23,19 @@ exterior derivative descends to the cell.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .linalg import adjugate, independent_rows, row_reduce
 from .permgraph import FaceWord, StableRibbonGraph, faces
-from .polyform import (AffineMap, Form, FormOnComplex, Gluing, HalfSpace,
-                       Morphism, MorphismMap, Polynomial, Polytope,
-                       PolytopalComplex)
+
+if TYPE_CHECKING:
+    from .polyform import FormOnComplex, Morphism, PolytopalComplex, Polytope
 
 
-@dataclass(frozen=True)
 class CellPolytope:
     """The fiber of a graph cell over fixed perimeters, in an exact chart.
 
@@ -49,22 +47,37 @@ class CellPolytope:
     on an empty cell whose point the perturbed perimeters hold.
     """
 
-    graph: StableRibbonGraph
-    perimeters: tuple[Fraction, ...]
-    incidence: tuple[tuple[int, ...], ...]
-    free_edges: tuple[int, ...]
-    edge_charts: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    polytope: Polytope | None
-    rank: int
-    chart_volume: Fraction
+    def __init__(self, graph: StableRibbonGraph,
+                 perimeters: tuple[Fraction, ...],
+                 incidence: tuple[tuple[int, ...], ...],
+                 free_edges: tuple[int, ...],
+                 edge_charts: tuple[tuple[tuple[Fraction, ...], Fraction], ...],
+                 is_empty: bool, rank: int, chart_volume: Fraction):
+        self.graph = graph
+        self.perimeters = perimeters
+        self.incidence = incidence
+        self.free_edges = free_edges
+        self.edge_charts = edge_charts
+        self.is_empty = is_empty
+        self.rank = rank
+        self.chart_volume = chart_volume
+
+    @cached_property
+    def polytope(self) -> Polytope | None:
+        """The H-description ``l_e > 0`` over the chart, or None on an
+        empty cell; built on first read, so a cell that is only integrated
+        never loads :mod:`ribboncells.polyform`."""
+        if self.is_empty:
+            return None
+        from .polyform import HalfSpace, Polytope
+
+        return Polytope(self.dim, tuple(
+            HalfSpace(coeffs, const, strict=True)
+            for coeffs, const in self.edge_charts))
 
     @property
     def dim(self) -> int:
         return len(self.free_edges)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.polytope is None
 
     @property
     def rank_deficient(self) -> bool:
@@ -144,18 +157,15 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     # solution too
     if any(sum(m * x for m, x in zip(M[i], particular)) != p[i]
            for i in range(len(M)) if i not in rows):
-        return CellPolytope(g, tuple(p), M, (), (), None, E, Fraction(0))
+        return CellPolytope(g, tuple(p), M, (), (), True, E, Fraction(0))
     charts = tuple(zip(f.directions, particular))
     vol = basis_volume(f, q, order)
     empty = vol == 0 or any(
         const <= 0 and not any(coeffs) for coeffs, const in charts)
-    poly = None if empty else Polytope(len(f.free), tuple(
-        HalfSpace(coeffs, const, strict=True) for coeffs, const in charts))
-    return CellPolytope(g, tuple(p), M, f.free, charts, poly, len(rows), vol)
+    return CellPolytope(g, tuple(p), M, f.free, charts, empty, len(rows), vol)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """The part of the cell pass that depends only on a matrix of
     independent incidence rows, shared by every labelling and perimeter
     vector whose independent rows sort to ``rows``.
@@ -283,7 +293,6 @@ def basis_volume(f: Factorization, perimeters: Sequence,
                     f.denominator * factorial(d) * scale ** d)
 
 
-@dataclass(frozen=True)
 class PolygonFiber:
     """The boundary polygon of one face with given side lengths and a
     distinguished point at coordinate ``t``.
@@ -292,9 +301,11 @@ class PolygonFiber:
     the opposite direction, from 0 to the perimeter.
     """
 
-    face: FaceWord
-    side_lengths: tuple[Fraction, ...]
-    t: Fraction = Fraction(0)
+    def __init__(self, face: FaceWord, side_lengths: tuple[Fraction, ...],
+                 t: Fraction = Fraction(0)):
+        self.face = face
+        self.side_lengths = side_lengths
+        self.t = t
 
     @staticmethod
     def create(face: FaceWord, side_lengths, t=0) -> "PolygonFiber":
@@ -373,8 +384,7 @@ def scaled_fiber(fiber: PolygonFiber, scale) -> PolygonFiber:
                                s * fiber.t)
 
 
-@dataclass(frozen=True)
-class PolygonBundle:
+class PolygonBundle(NamedTuple):
     """The polygon bundle of one face over a cell: a polytopal complex in
     coordinates (chart of the cell, t) with the connection form, plus the
     projection morphism to the cell, whose target is the base complex."""
@@ -392,7 +402,13 @@ class PolygonBundle:
 
 def polygon_bundle(cell: CellPolytope, face_label: int) -> PolygonBundle:
     """Build the fiber-times-cell region of one face, decomposed by which
-    side carries the distinguished point, with the connection form on it."""
+    side carries the distinguished point, with the connection form on it.
+    Every piece that is the cell itself is ``cell.polytope``, one object,
+    so its vertices are enumerated once."""
+    from .polyform import (AffineMap, Form, FormOnComplex, Gluing, HalfSpace,
+                           Morphism, MorphismMap, Polynomial, Polytope,
+                           PolytopalComplex)
+
     if cell.is_empty:
         raise ValueError("cannot build a bundle over an empty cell")
     face = next(w for w in faces(cell.graph) if w.label == face_label)

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
 reports an invalid graph (``stable: False`` and its first violation) and
 still exits 0; an unreadable or malformed file exits 2, and so do a
-malformed number list and ``check --cases`` or ``--jobs`` below 1.  Usage
-errors print ``usage error: ...`` on stderr.  Numbers in ``--perimeters``
+malformed number list, ``check --cases`` or ``--jobs`` below 1, an
+unknown ``check --suite`` and an unstable (g, n).  Usage errors print
+``usage error: ...`` on stderr.  Numbers in ``--perimeters``
 and ``--points`` are integers, decimals or fractions (``19/3``); exponent
 notation (``1e5``) is refused as a bad list entry, since its value can
 have far more digits than its text.  All randomness is seedable.
@@ -13,21 +14,21 @@ have far more digits than its text.  All randomness is seedable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import permgraph, serialize
+# every module ``intersect`` runs is imported here; the other subcommands
+# import ``json``, ``serialize``, ``model0`` and ``suites`` where they use
+# them, so a cold query does not pay for them
+from . import permgraph
 from .cells import cell_polytope
 from .enumeration import (SizeGuardError, automorphisms, enumerate_cells,
                           enumerate_trivalent)
 from .intersect import (OrientationError, QueryError, check_p_independence,
                         intersection_number, make_query)
-from .model0 import INFINITY, PointConfig, QQi, full_map
 from .permgraph import faces, genus, validate
 from .stable import ContractionError, contract_set
-from .suites import SUITE_NAMES, run_suite
 
 
 def _load_graph(path: str) -> permgraph.StableRibbonGraph:
@@ -35,11 +36,10 @@ def _load_graph(path: str) -> permgraph.StableRibbonGraph:
     return permgraph.loads(text)
 
 
-def _emit(args, payload_json: dict, payload_text: str):
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload_json, indent=2, sort_keys=True))
-    else:
-        print(payload_text)
+def _print_json(payload: dict) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 # -- inspect ---------------------------------------------------------------
@@ -67,8 +67,10 @@ def cmd_inspect(args) -> int:
             "aut_order": automorphisms(g).order,
             "trivalent": g.is_trivalent(),
         })
-    lines = [f"{k}: {v}" for k, v in report.items()]
-    _emit(args, report, "\n".join(lines))
+    if args.format == "json":
+        _print_json(report)
+    else:
+        print("\n".join(f"{k}: {v}" for k, v in report.items()))
     if args.roundtrip:
         Path(args.roundtrip).write_text(permgraph.dumps(g, indent=2) + "\n")
     if args.dot:
@@ -109,6 +111,8 @@ def cmd_contract(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    import json
+
     index = {"genus": args.genus, "faces": args.faces, "classes": []}
     if args.all_cells:
         summary = enumerate_cells(args.genus, args.faces)
@@ -151,6 +155,10 @@ def _write_all(path: str, files: dict[str, str]) -> Path:
 
 
 def cmd_cells(args) -> int:
+    import json
+
+    from . import serialize
+
     p = _parse_fraction_list(args.perimeters)
     summary = enumerate_cells(args.genus, args.faces)
     index = {"genus": args.genus, "faces": args.faces,
@@ -187,22 +195,20 @@ def cmd_intersect(args) -> int:
         result = check_p_independence(args.genus, d, [base, shifted])[0]
     else:
         result = intersection_number(args.genus, d, p)
+    # the text answer needs neither json nor serialize
     if args.ledger:
-        ledger = {
-            "genus": args.genus,
-            "exponents": d,
-            "perimeters": [serialize.rat(x) for x in result.query.perimeters],
-            "value": serialize.rat(result.value),
-            "cells": [{
-                "key": c.key.hex()[:16], "aut_order": c.aut_order,
-                "empty": c.empty, "orientation": c.orientation,
-                "coefficient": serialize.rat(c.coefficient),
-                "chart_volume": serialize.rat(c.chart_volume),
-                "contribution": serialize.rat(c.contribution),
-            } for c in result.cells],
-        }
+        import json
+
+        from .serialize import ledger_to_json
+
+        ledger = ledger_to_json(result)
         Path(args.ledger).write_text(json.dumps(ledger, indent=2) + "\n")
-    _emit(args, {"value": serialize.rat(result.value)}, str(result.value))
+    if args.format == "json":
+        from .serialize import rat
+
+        _print_json({"value": rat(result.value)})
+    else:
+        print(result.value)
     return 0
 
 
@@ -210,6 +216,8 @@ def cmd_intersect(args) -> int:
 
 
 def _parse_qqi(token: str) -> QQi | str:
+    from .model0 import INFINITY, QQi
+
     token = token.strip()
     if token in ("inf", "oo"):
         return INFINITY
@@ -229,6 +237,10 @@ def _imaginary(coeff: str) -> Fraction:
 
 
 def cmd_model0(args) -> int:
+    import json
+
+    from .model0 import PointConfig, full_map
+
     points = _parse_list(args.points, _parse_qqi)
     cfg = PointConfig.create(points)
     out = []
@@ -242,6 +254,10 @@ def cmd_model0(args) -> int:
 
 
 def cmd_check(args) -> int:
+    import json
+
+    from .suites import SUITE_NAMES, run_suite
+
     if args.cases is not None and args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
     if args.jobs < 1:
@@ -354,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a seeded property suite")
     p.add_argument("--suite", default="all",
-                   choices=list(SUITE_NAMES) + ["all"])
+                   help="a suite name, or 'all' (the default)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1,

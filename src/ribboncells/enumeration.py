@@ -32,8 +32,8 @@ of them under the group, one per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .permgraph import (StableRibbonGraph, cycles, ordinary_graph,
                         with_face_labels)
@@ -178,8 +178,7 @@ def canonical_key(g: StableRibbonGraph, labelled: bool = True) -> bytes:
 # automorphisms
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
+class AutomorphismGroup(NamedTuple):
     order: int
     elements: tuple[tuple[int, ...], ...]
 
@@ -205,8 +204,7 @@ def automorphisms(g: StableRibbonGraph) -> AutomorphismGroup:
 # exhaustive enumeration
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     key: bytes
     graph: StableRibbonGraph
 
@@ -282,12 +280,17 @@ def trivalent_edge_count(g: int, n: int) -> int:
     return 3 * (2 * g - 2 + n)
 
 
+def require_stable(g: int, n: int) -> None:
+    """Raise ``ValueError`` unless g >= 0, n >= 1 and 2g - 2 + n > 0."""
+    if g < 0 or n < 1 or 2 - 2 * g - n >= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+
+
 def require_enumerable(g: int, n: int) -> None:
     """Raise ``ValueError`` for an unstable (g, n) and ``SizeGuardError``
     when its trivalent graphs have more than ``MAX_EDGES`` edges; both
     checks cost O(1), so a caller can make them before any other work."""
-    if g < 0 or n < 1 or 2 - 2 * g - n >= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    require_stable(g, n)
     E = trivalent_edge_count(g, n)
     if E > MAX_EDGES:
         raise SizeGuardError(
@@ -327,8 +330,7 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     return [GraphClass(key=k, graph=classes[k]) for k in sorted(classes)]
 
 
-@dataclass(frozen=True)
-class CellComplexSummary:
+class CellComplexSummary(NamedTuple):
     """Closure of the top cells under single-edge contraction."""
 
     classes: dict[bytes, GraphClass]

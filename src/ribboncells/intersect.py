@@ -30,16 +30,15 @@ fixed once and for all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cells import CellPolytope, cell_polytope
 from .enumeration import (GraphClass, automorphisms, enumerate_trivalent,
-                          require_enumerable)
+                          require_enumerable, require_stable)
 from .linalg import pfaffian
 from .permgraph import faces
 
@@ -132,8 +131,7 @@ def orientation_sign(mats: Sequence, perimeters: Sequence) -> int:
     return 1 if pf > 0 else -1
 
 
-@dataclass(frozen=True)
-class IntersectionQuery:
+class IntersectionQuery(NamedTuple):
     genus: int
     exponents: tuple[int, ...]
     perimeters: tuple[Fraction, ...]
@@ -149,6 +147,8 @@ def make_query(genus: int, exponents: Sequence[int],
     n = len(d)
     if n < 1 or any(x < 0 for x in d):
         raise QueryError("exponents must be non-negative, one per face")
+    # an unstable (g, n) is refused as such, whatever the exponents sum to
+    require_stable(genus, n)
     target = 3 * genus - 3 + n
     if sum(d) != target:
         raise QueryError(
@@ -172,8 +172,7 @@ def default_perimeters(n: int) -> tuple[Fraction, ...]:
     return tuple(primes)
 
 
-@dataclass(frozen=True)
-class CellContribution:
+class CellContribution(NamedTuple):
     key: bytes
     aut_order: int
     empty: bool
@@ -183,8 +182,7 @@ class CellContribution:
     contribution: Fraction
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     query: IntersectionQuery
     value: Fraction
     cells: tuple[CellContribution, ...]

@@ -16,20 +16,17 @@ are the special case of one cycle per vertex and all defects zero.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class InvalidGraphError(ValueError):
     """Raised by operations whose input graph fails validation."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First violated invariant found by :func:`validate`."""
 
     kind: str
@@ -39,8 +36,7 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A vertex: a permutation (given by its cycles) of the incident
     half-edges, plus a genus defect."""
 
@@ -57,8 +53,7 @@ class Vertex:
         return sum(len(c) for c in self.cycles)
 
 
-@dataclass(frozen=True)
-class FaceWord:
+class FaceWord(NamedTuple):
     """A face: one cycle of ``sigma2`` with its label.
 
     ``half_edges`` is the cyclic sequence of half-edges along the face and
@@ -75,7 +70,6 @@ class FaceWord:
         return len(self.half_edges)
 
 
-@dataclass(frozen=True, eq=False)
 class StableRibbonGraph:
     """Stable ribbon graph with numbered faces.
 
@@ -89,12 +83,21 @@ class StableRibbonGraph:
     construction, so all derived structure, and the outcome of
     :meth:`require_valid`, is cached.  Construction does not validate --
     call :func:`validate` (or :meth:`require_valid`) to check the
-    invariants.
+    invariants.  Assigning to an attribute raises ``AttributeError``.
     """
 
-    num_half_edges: int
-    vertices: tuple[Vertex, ...]
-    face_labels: Mapping[int, int] = field(default_factory=dict)
+    def __init__(self, num_half_edges: int, vertices: tuple[Vertex, ...],
+                 face_labels: Mapping[int, int] | None = None):
+        # __setattr__ refuses; the fields go into __dict__ directly, as
+        # every cached value does
+        self.__dict__.update(num_half_edges=num_half_edges, vertices=vertices,
+                             face_labels={} if face_labels is None else face_labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StableRibbonGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"StableRibbonGraph is immutable; cannot delete {name!r}")
 
     # -- basic counts ------------------------------------------------
 
@@ -509,10 +512,14 @@ def from_json_dict(d: Mapping) -> StableRibbonGraph:
 
 
 def dumps(g: StableRibbonGraph, **kw) -> str:
+    import json
+
     return json.dumps(to_json_dict(g), **kw)
 
 
 def loads(text: str) -> StableRibbonGraph:
+    import json
+
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,13 +1,18 @@
 """JSON formats the ``cells`` and ``intersect --ledger`` outputs write:
-rationals as "num/den" strings, polytopes as H-descriptions, and cells."""
+rationals as "num/den" strings, polytopes as H-descriptions, cells, and
+the per-cell ledger of an intersection number."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .cells import CellPolytope
-from .polyform import Polytope
 from . import permgraph
+
+if TYPE_CHECKING:
+    from .cells import CellPolytope
+    from .intersect import IntersectionResult
+    from .polyform import Polytope
 
 
 def rat(x: Fraction) -> str:
@@ -38,4 +43,21 @@ def cell_to_json(cell: CellPolytope) -> dict:
         "empty": cell.is_empty,
         "polytope": None if cell.polytope is None
         else polytope_to_json(cell.polytope),
+    }
+
+
+def ledger_to_json(result: IntersectionResult) -> dict:
+    q = result.query
+    return {
+        "genus": q.genus,
+        "exponents": list(q.exponents),
+        "perimeters": [rat(x) for x in q.perimeters],
+        "value": rat(result.value),
+        "cells": [{
+            "key": c.key.hex()[:16], "aut_order": c.aut_order,
+            "empty": c.empty, "orientation": c.orientation,
+            "coefficient": rat(c.coefficient),
+            "chart_volume": rat(c.chart_volume),
+            "contribution": rat(c.contribution),
+        } for c in result.cells],
     }

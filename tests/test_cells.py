@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import factorial, lcm
 
@@ -380,6 +381,30 @@ class TestFiberIntegral:
 
 
 class TestPolygonBundle:
+    def test_one_polytope_per_cell(self, theta, monkeypatch):
+        # the H-description is built on first read and kept: every cut of
+        # the bundle and the base of its projection are that one object,
+        # so the cell's vertices are enumerated once
+        computed = []
+        real = Polytope.__dict__["_vertices"].func
+
+        def counting(self):
+            computed.append(self)
+            return real(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(Polytope, "_vertices")
+        monkeypatch.setattr(Polytope, "_vertices", prop)
+        cell = cell_polytope(theta, [12])
+        assert cell.polytope is cell.polytope
+        pb = polygon_bundle(cell, 1)
+        cuts = [q for name, q in pb.complex.polytopes.items()
+                if name.startswith("cut")]
+        assert len(cuts) == 6 and all(q is cell.polytope for q in cuts)
+        assert pb.projection.target.polytopes["cell"] is cell.polytope
+        cell.interior_point()
+        assert [q for q in computed if q is cell.polytope] == [cell.polytope]
+
     def test_validates_as_a_form(self, theta):
         cell = cell_polytope(theta, [12])
         pb = polygon_bundle(cell, 1)

@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +12,7 @@ import pytest
 from ribboncells import intersect, ordinary_graph, permgraph
 from ribboncells.cli import _parse_qqi, main
 from ribboncells.model0 import QQi
+from ribboncells.suites import SUITE_NAMES
 
 
 @pytest.fixture
@@ -205,7 +206,7 @@ class TestIntersectCmd:
 
         def skewed(genus, exponents, perimeters=None):
             r = real(genus, exponents, perimeters)
-            return dataclasses.replace(r, value=r.value + sum(r.query.perimeters))
+            return r._replace(value=r.value + sum(r.query.perimeters))
 
         monkeypatch.setattr(intersect, "intersection_number", skewed)
         assert main(["intersect", "--genus", "0", "--d", "0,0,0",
@@ -215,6 +216,18 @@ class TestIntersectCmd:
 
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
+
+    @pytest.mark.parametrize("genus, d", [(0, "0,0"), (-1, "0")],
+                             ids=["(0,2)", "(-1,1)"])
+    @pytest.mark.parametrize("flags", [[], ["--check-p-independence"]],
+                             ids=["plain", "p-independence"])
+    def test_unstable_refused_whatever_the_exponents(self, capsys, genus, d,
+                                                     flags):
+        # neither exponent list sums to 3g - 3 + n; stability comes first
+        assert main(["intersect", "--genus", str(genus), "--d", d, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert "not stable" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("genus, d, code, message", [
         (0, [1] * 1997 + [0] * 3, 1,
@@ -349,9 +362,19 @@ class TestCheckCmd:
         assert counts == {"alpha": 300, "contraction": 200, "model0": 100,
                           "omega": 8, "p-independence": 9, "stokes": 200}
 
-    def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["check", "--suite", "nonsense"])
+    def test_unknown_suite_rejected(self, monkeypatch, capsys):
+        # refused by run_suite, which names every suite, before a pool starts
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pool started for an unknown suite")
+
+        monkeypatch.setattr(multiprocessing, "Pool", forbidden)
+        for jobs in ("1", "2"):
+            assert main(["check", "--suite", "nonsense", "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            prefix = "usage error: unknown suite 'nonsense'; choose from "
+            assert captured.err.startswith(prefix) and captured.out == ""
+            named = captured.err[len(prefix):].strip().split(", ")
+            assert named == list(SUITE_NAMES) + ["all"]
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -131,6 +131,24 @@ class TestWithFaceLabels:
         assert len(computed) == 1
 
 
+class TestImmutable:
+    def test_graph_attributes_cannot_be_set(self, theta):
+        # the derived structure and the validation outcome are cached per
+        # instance, so nothing may change the data they were read from
+        theta.require_valid()
+        for name, value in [("num_half_edges", 8), ("vertices", ()),
+                            ("face_labels", {}), ("sigma0", ()), ("new", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(theta, name, value)
+            with pytest.raises(AttributeError):
+                delattr(theta, name)
+        assert theta.num_half_edges == 6 and validate(theta) is None
+        with pytest.raises(AttributeError):
+            theta.vertices[0].defect = 1
+        with pytest.raises(AttributeError):
+            faces(theta)[0].label = 2
+
+
 class TestFaces:
     def test_theta_single_face(self, theta):
         ws = faces(theta)

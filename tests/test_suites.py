@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from ribboncells import intersect, suites
@@ -58,7 +56,7 @@ def test_p_independence_catches_dependence(monkeypatch):
 
     def skewed(genus, exponents, perimeters=None):
         r = real(genus, exponents, perimeters)
-        return dataclasses.replace(r, value=r.value + sum(r.query.perimeters))
+        return r._replace(value=r.value + sum(r.query.perimeters))
 
     monkeypatch.setattr(intersect, "intersection_number", skewed)
     (report,) = run_suite("p-independence", seed=0)
