@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
 reports an invalid graph (``stable: False`` and its first violation) and
 still exits 0; an unreadable or malformed file exits 2, and so do a
-malformed number list, ``check --cases`` or ``--jobs`` below 1, an
-unknown ``check --suite`` and an unstable (g, n).  Usage errors print
+malformed number list, a perimeter list that is not one positive number
+per face, ``check --cases`` or ``--jobs`` below 1, an unknown
+``check --suite`` and an unstable (g, n).  Usage errors print
 ``usage error: ...`` on stderr.  Numbers in ``--perimeters``
 and ``--points`` are integers, decimals or fractions (``19/3``); exponent
 notation (``1e5``) is refused as a bad list entry, since its value can

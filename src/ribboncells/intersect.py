@@ -156,8 +156,9 @@ def make_query(genus: int, exponents: Sequence[int],
     require_enumerable(genus, n)
     p = tuple(Fraction(x) for x in perimeters) if perimeters is not None \
         else default_perimeters(n)
+    # a usage error, as in ``cell_polytope``, not a QueryError
     if len(p) != n or any(x <= 0 for x in p):
-        raise QueryError("need one positive perimeter per face")
+        raise ValueError("need one positive perimeter per face")
     return IntersectionQuery(genus, d, p)
 
 

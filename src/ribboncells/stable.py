@@ -16,7 +16,8 @@ first-return structure induced on that component.
 
 from __future__ import annotations
 
-from .permgraph import StableRibbonGraph, Vertex, cycles, genus, union_find
+from .permgraph import (StableRibbonGraph, Vertex, cycles, genus, union_find,
+                        with_face_labels)
 
 
 class ContractionError(ValueError):
@@ -183,11 +184,11 @@ def induced_component_graph(g: StableRibbonGraph, component: set[int] | list[int
     # half-edges the first-return sigma2' agrees with sigma2
     whole = {remap[h]: g.face_label_of[h] for cyc in g.sigma2_cycles
              if all(h in remap for h in cyc) for h in cyc}
-    ordered = sorted(
-        StableRibbonGraph(len(s0_new), vertices, {}).sigma2_cycles,
-        key=lambda cyc: (0, whole[cyc[0]]) if cyc[0] in whole else (1, min(cyc)))
+    unlabelled = StableRibbonGraph(len(s0_new), vertices, {})
+    ordered = sorted(unlabelled.sigma2_cycles, key=lambda cyc:
+                     (0, whole[cyc[0]]) if cyc[0] in whole else (1, min(cyc)))
     labels = {cyc[0]: i + 1 for i, cyc in enumerate(ordered)}
-    return StableRibbonGraph(len(s0_new), vertices, labels)
+    return with_face_labels(unlabelled, labels)
 
 
 def contract_set(g: StableRibbonGraph, edges: set[int] | list[int]) -> StableRibbonGraph:

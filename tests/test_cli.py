@@ -217,6 +217,19 @@ class TestIntersectCmd:
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
 
+    @pytest.mark.parametrize("perimeters", ["0,5,7", "3,5"],
+                             ids=["non-positive", "too-few"])
+    @pytest.mark.parametrize("flags", [[], ["--check-p-independence"]],
+                             ids=["plain", "p-independence"])
+    def test_bad_perimeters_are_usage_errors(self, capsys, perimeters, flags):
+        # the same exit code as `cells` for the same perimeter list
+        assert main(["intersect", "--genus", "0", "--d", "0,0,0",
+                     "--perimeters", perimeters, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "usage error: need one positive perimeter per face\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("genus, d", [(0, "0,0"), (-1, "0")],
                              ids=["(0,2)", "(-1,1)"])
     @pytest.mark.parametrize("flags", [[], ["--check-p-independence"]],
