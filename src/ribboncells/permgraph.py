@@ -410,7 +410,17 @@ def faces(g: StableRibbonGraph) -> list[FaceWord]:
 
 def genus(g: StableRibbonGraph) -> int:
     """Genus: arithmetic genus of the surface of embedding plus the sum of
-    genus defects.
+    genus defects, by :func:`euler_genus` on the graph's counts."""
+    g.require_valid(require_stability=False)
+    return euler_genus(len(g.vertices), sum(len(v.cycles) for v in g.vertices),
+                       g.num_edges, g.num_faces, sum(g.defects))
+
+
+def euler_genus(vertices: int, vertex_cycles: int, edges: int, faces: int,
+                defect: int) -> int:
+    """Genus of a connected stable ribbon structure from its counts: ``V``
+    vertices with ``C`` cycles in all, ``E`` edges, ``F`` faces and total
+    genus defect ``defect``.
 
     The surface of embedding is a nodal curve.  Splitting each of the ``V``
     vertices into one vertex per cycle of its permutation gives ``C``
@@ -419,17 +429,16 @@ def genus(g: StableRibbonGraph) -> int:
     ``C - E + F = sum(2 - 2 g_c)``.  Gluing the cycles of each vertex back
     into one point, the arithmetic genus is
     ``sum(g_c) + (C - V) - k + 1``; substituting ``sum(g_c)``, ``k``
-    cancels and it is ``1 - V + (C + E - F) / 2``.
+    cancels and it is ``1 - V + (C + E - F) / 2``.  The genus adds the
+    defect to it.
     """
-    g.require_valid(require_stability=False)
-    twice = (sum(len(v.cycles) for v in g.vertices) + g.num_edges
-             - g.num_faces)
+    twice = vertex_cycles + edges - faces
     if twice % 2 != 0:
         raise AssertionError("odd Euler characteristic of the split surface")
-    arithmetic = 1 - len(g.vertices) + twice // 2
+    arithmetic = 1 - vertices + twice // 2
     if arithmetic < 0:
         raise AssertionError("negative arithmetic genus")
-    return arithmetic + sum(g.defects)
+    return arithmetic + defect
 
 
 def perimeters(g: StableRibbonGraph, lengths: Sequence) -> tuple[Fraction, ...]:

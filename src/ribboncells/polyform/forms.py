@@ -163,25 +163,29 @@ class Form:
         """phi^* self, for phi : R^m -> R^nvars affine with matrix A, by
         the Cauchy-Binet formula
 
-            (phi^* w)_J = sum_I det(A[I, J]) * (w_I o phi)
+            (phi^* w)_J = (sum_I det(A[I, J]) * w_I) o phi
 
         over the index tuples I of w and the increasing k-tuples J of
-        range(m), k the degree."""
+        range(m), k the degree.  Composition with phi is linear, so the
+        minor-weighted sum is formed first and substituted once per J."""
         if phi.target_dim != self.nvars:
             raise ValueError("map target does not match the form's space")
         m = phi.source_dim
         coords = [Polynomial.affine(row, off)
                   for row, off in zip(phi.matrix, phi.offset)]
         out: dict[tuple[int, ...], Polynomial] = {}
-        for idx, p in self.comps.items():
-            # on a point there is nothing to substitute: p is its constant
-            composed = p.subst(coords) if coords else \
-                Polynomial.constant(m, p.eval(()))
-            for cols in combinations(range(m), self.degree):
+        for cols in combinations(range(m), self.degree):
+            total = None
+            for idx, p in self.comps.items():
                 minor = det([[phi.matrix[i][j] for j in cols] for i in idx])
                 if minor:
-                    term = composed * minor
-                    out[cols] = out[cols] + term if cols in out else term
+                    term = p * minor
+                    total = term if total is None else total + term
+            if total:
+                # on a point there is nothing to substitute: total is its
+                # constant
+                out[cols] = total.subst(coords) if coords else \
+                    Polynomial.constant(m, total.eval(()))
         return Form(m, self.degree, out)
 
     def coefficient(self, idx: Sequence[int]) -> Polynomial:

@@ -86,12 +86,7 @@ class Polynomial:
             c = Fraction(other)
             return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, _times(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -108,6 +103,9 @@ class Polynomial:
             and self.terms == other.terms
 
     def __hash__(self):
+        if not any(map(any, self.terms)):
+            # a constant equals its value (``__eq__``), so it hashes as one
+            return hash(self.terms.get((0,) * self.nvars, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -148,18 +146,37 @@ class Polynomial:
 
     def subst(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute variable ``i`` by ``images[i]``; the images fix the
-        arity of the result."""
+        arity of the result.  Each power of an image is built once, and
+        the terms accumulate in one dictionary."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         n_out = images[0].nvars if images else 0
-        out = Polynomial.constant(n_out, 0)
+        one = {(0,) * n_out: Fraction(1)}
+        # powers[i][p] holds the terms of images[i] ** p
+        powers = [[one] for _ in images]
+        out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            term = Polynomial.constant(n_out, c)
+            term = one
             for i, p in enumerate(e):
                 if p:
-                    term = term * images[i] ** p
-            out = out + term
-        return out
+                    pw = powers[i]
+                    while len(pw) <= p:
+                        pw.append(_times(pw[-1], images[i].terms))
+                    term = _times(term, pw[p])
+            for x, v in term.items():
+                out[x] = out[x] + c * v if x in out else c * v
+        return Polynomial(n_out, out)
+
+
+def _times(a: Mapping[tuple[int, ...], Fraction],
+           b: Mapping[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """The product of two term dictionaries; zero sums are kept."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
 
 
 def simplex_integral(poly: Polynomial) -> Fraction:

@@ -16,8 +16,8 @@ first-return structure induced on that component.
 
 from __future__ import annotations
 
-from .permgraph import (StableRibbonGraph, Vertex, cycles, genus, union_find,
-                        with_face_labels)
+from .permgraph import (StableRibbonGraph, Vertex, cycles, euler_genus,
+                        union_find, with_face_labels)
 
 
 class ContractionError(ValueError):
@@ -158,8 +158,8 @@ def induced_component_graph(g: StableRibbonGraph, component: set[int] | list[int
     face of the result), in the order of ``g``'s labels, then the others by
     least half-edge.  So if the component is all of ``g``'s edges the
     original labels are reproduced.  The result can fail the stability
-    clause, which is fine for its only use: its genus is the defect of the
-    collapsed vertex.
+    clause, which is fine: its genus is the defect of the collapsed vertex,
+    and :func:`contract_set` counts that genus without building it.
     """
     g.require_valid(require_stability=False)
     comp = set(component)
@@ -191,6 +191,24 @@ def induced_component_graph(g: StableRibbonGraph, component: set[int] | list[int
     return with_face_labels(unlabelled, labels)
 
 
+def _component_genus(g: StableRibbonGraph, comp: set[int],
+                     touched: set[int]) -> int:
+    """``genus(induced_component_graph(g, comp))`` for a connected edge set
+    ``comp`` touching the vertices ``touched``, counted without building
+    the structure.  Its vertices are ``touched``, with their defects; its
+    cycles are theirs that meet ``comp``, since the first return of
+    ``sigma0`` stays in a cycle; its faces are the cycles of
+    ``sigma0'^{-1} sigma1``, where ``sigma0'^{-1}`` is the first return of
+    ``sigma0^{-1}``."""
+    remap = _compact(sorted(comp))
+    inv = _first_return(g.sigma0_inv, remap)
+    faces = len(cycles([inv[h ^ 1] for h in range(len(inv))]))
+    vs = [g.vertices[vi] for vi in touched]
+    meeting = sum(1 for v in vs for c in v.cycles if not remap.keys().isdisjoint(c))
+    return euler_genus(len(vs), meeting, len(comp), faces,
+                       sum(v.defect for v in vs))
+
+
 def contract_set(g: StableRibbonGraph, edges: set[int] | list[int]) -> StableRibbonGraph:
     """Contract a whole edge subset at once.
 
@@ -219,7 +237,7 @@ def contract_set(g: StableRibbonGraph, edges: set[int] | list[int]) -> StableRib
             raise AssertionError("components are not vertex-disjoint")
         consumed_vertices |= touched
         block = tuple(h for vi in touched for h in g.vertices[vi].block)
-        merged.append((block, genus(induced_component_graph(g, comp))))
+        merged.append((block, _component_genus(g, comp, touched)))
     for vi, v in enumerate(g.vertices):
         if vi not in consumed_vertices:
             merged.append((v.block, v.defect))

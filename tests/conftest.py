@@ -26,6 +26,22 @@ def seeded_draws():
     return tuple(random_stable_graph(rng, max_edges=9) for _ in range(2000))
 
 
+def connected_subset(rng, g):
+    """A random connected edge subset grown from one random edge."""
+    vert = g.vertex_of
+    e = rng.randrange(g.num_edges)
+    comp, touched = {e}, {vert[2 * e], vert[2 * e + 1]}
+    for _ in range(rng.randint(0, g.num_edges - 1)):
+        frontier = [f for f in range(g.num_edges) if f not in comp
+                    and (vert[2 * f] in touched or vert[2 * f + 1] in touched)]
+        if not frontier:
+            break
+        f = rng.choice(frontier)
+        comp.add(f)
+        touched |= {vert[2 * f], vert[2 * f + 1]}
+    return comp
+
+
 def make_graph(vertex_data, face_labels=None):
     """vertex_data: list of (cycles, defect); labels by minimal half-edge
     when omitted."""

@@ -5,8 +5,10 @@ keys, and the property suites replay seeded draws.  A change to either
 must be deliberate, so the bytes are pinned here: the keys and
 representative graphs of the trivalent classes, the sorted canonical
 keys and boundary triples of two cell closures, the JSON of the first
-draws of the stable-graph sampler for one seed, and the JSON of the
-contractions of seeded draws.  The per-cell ledgers of
+draws of the stable-graph sampler for one seed, the JSON of the
+contractions of seeded draws, the report of a whole ``check --suite all``
+pass for three seeds and the ``model0 --points`` output of five
+configurations.  The per-cell ledgers of
 the E <= 6 correlators and the automorphism groups of the closure classes
 are pinned too, so a rewrite of the form algebra or of the automorphism
 search must reproduce them exactly; so are the ledgers at perimeters on
@@ -29,7 +31,8 @@ from functools import cache
 
 import pytest
 
-from conftest import trivalent_classes
+from conftest import connected_subset, trivalent_classes
+from ribboncells.cli import main
 from ribboncells.enumeration import automorphisms, enumerate_cells, enumerate_trivalent
 from ribboncells.intersect import intersection_number
 from ribboncells.permgraph import dumps, to_json_dict
@@ -106,22 +109,6 @@ def test_seeded_draws():
         "1366bf032f52dd6e5cb2ccf0718e85d293c3af099980094d16470c9f4aa1fec0"
 
 
-def _connected_subset(rng, g):
-    """A random connected edge subset grown from one random edge."""
-    vert = g.vertex_of
-    e = rng.randrange(g.num_edges)
-    comp, touched = {e}, {vert[2 * e], vert[2 * e + 1]}
-    for _ in range(rng.randint(0, g.num_edges - 1)):
-        frontier = [f for f in range(g.num_edges) if f not in comp
-                    and (vert[2 * f] in touched or vert[2 * f + 1] in touched)]
-        if not frontier:
-            break
-        f = rng.choice(frontier)
-        comp.add(f)
-        touched |= {vert[2 * f], vert[2 * f + 1]}
-    return comp
-
-
 def test_contraction_outputs():
     # the raw vertex order, cycles and face labels of every contraction
     # result, which the enumerate and cells files write
@@ -136,10 +123,40 @@ def test_contraction_outputs():
             h.update(dumps(contract_set(g, subset)).encode() + b"\n")
         except ContractionError:
             h.update(b"rejected\n")
-        comp = _connected_subset(rng, g)
+        comp = connected_subset(rng, g)
         h.update(dumps(induced_component_graph(g, comp)).encode() + b"\n")
     assert h.hexdigest() == \
         "fb90c96d874b2e1bec7c92e5456caea087ccb3ef54c145620d998fca35feae76"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 60221])
+def test_check_all_reports(seed, tmp_path):
+    # the suite names, case counts and failure lists of a whole pass; every
+    # suite passes with its default count, so the three seeds agree
+    report = tmp_path / "report.json"
+    assert main(["check", "--suite", "all", "--seed", str(seed),
+                 "--report", str(report)]) == 0
+    rows = json.loads(report.read_text())
+    for row in rows:
+        del row["wall_time"]
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "82e6dbb44b5b4cfbb0494023dd7522dfac4bfa2c31f0e880d7c642eba68a73cf"
+
+
+@pytest.mark.parametrize("points, digest", [
+    ("0,1,3,7", "3d36b2ca963058dd3da7d6bda89f2bbf51bd0a602bc40e2387f4e6ae98e66442"),
+    ("inf,0,1,2+i", "a2dc7fa521a0a15e53dcd755535e6085f91f62d19ce2c0bd1050aa8c5dc24bf1"),
+    ("1/2-3i,-2,5i,7/3+1/4i,-1-i",
+     "235b94a0a2563e300c7935ed6bdf9bb5beb4e22b062f1ae4c813e9afafc439ea"),
+    ("0,1,-1", "f7dfb8c17772d8dce83a9dbe41d513f67e5ac23e6f5579ecb2042070d6238191"),
+    ("i,-i,2,inf,3/2", "7f535b97e314e372a30fc41c43bc35905071ef4c0a0da03044ddfd6eea63c30f"),
+])
+def test_model0_points(points, digest, capsys):
+    # the printed value vectors: the str of every Q(i) coordinate
+    assert main(["model0", "--points", points]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 LEDGER_DIGESTS = {

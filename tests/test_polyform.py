@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from ribboncells.polyform import (AffineMap, Chain, Form, FormOnComplex,
                                   integrate, polytope_chain, product_complex,
                                   simplex_integral, stokes_check, triangulate,
                                   validate_form, volume)
+from ribboncells.linalg import det
 from ribboncells.polyform import geometry
 
 F = Fraction
@@ -30,8 +32,6 @@ def random_poly(rng, nvars, max_deg=3, max_terms=4):
 
 
 def random_form(rng, nvars, degree, max_deg=3):
-    from itertools import combinations
-
     comps = {}
     idxs = list(combinations(range(nvars), degree))
     for idx in idxs:
@@ -62,6 +62,51 @@ def reference_pullback(form, phi):
     return out
 
 
+def reference_subst(poly, images):
+    """Term-by-term substitution, one ``Polynomial`` per term and every
+    power rebuilt: the route ``Polynomial.subst`` replaced."""
+    n_out = images[0].nvars if images else 0
+    out = Polynomial.constant(n_out, 0)
+    for e, c in poly.terms.items():
+        term = Polynomial.constant(n_out, c)
+        for i, p in enumerate(e):
+            if p:
+                term = term * images[i] ** p
+        out = out + term
+    return out
+
+
+def reference_minor_pullback(form, phi):
+    """Cauchy-Binet with one substitution per component ``I``, each added
+    into every ``J`` with a nonzero minor: the loop ``Form.pullback``
+    replaced."""
+    m = phi.source_dim
+    coords = [Polynomial.affine(row, off)
+              for row, off in zip(phi.matrix, phi.offset)]
+    out = {}
+    for idx, p in form.comps.items():
+        composed = reference_subst(p, coords) if coords else \
+            Polynomial.constant(m, p.eval(()))
+        for cols in combinations(range(m), form.degree):
+            minor = det([[phi.matrix[i][j] for j in cols] for i in idx])
+            if minor:
+                term = composed * minor
+                out[cols] = out[cols] + term if cols in out else term
+    return Form(m, form.degree, out)
+
+
+def random_map(rng, nvars, m, singular):
+    """A seeded affine map from R^m to R^nvars; with ``singular`` its
+    second column repeats the first."""
+    cols = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nvars)]
+            for _ in range(m)]
+    if singular and m >= 2:
+        cols[1] = [2 * a for a in cols[0]]
+    matrix = [[cols[j][i] for j in range(m)] for i in range(nvars)]
+    return AffineMap.create(matrix, [F(rng.randint(-2, 2), rng.randint(1, 3))
+                                     for _ in range(nvars)], in_dim=m)
+
+
 class TestPolynomial:
     def test_arithmetic(self):
         p = x(0, 2) * x(0, 2) + 2 * x(1, 2)
@@ -74,6 +119,30 @@ class TestPolynomial:
         p = x(0, 1) ** 3
         image = [Polynomial.affine([2], 1)]  # x -> 2t + 1
         assert p.subst(image).eval([1]) == 27
+
+    def test_subst_matches_term_by_term(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            nvars, n_out = rng.randint(0, 3), rng.randint(0, 3)
+            p = random_poly(rng, nvars, max_deg=4) if nvars else \
+                Polynomial.constant(0, F(rng.randint(-5, 5), 3))
+            # with no variables there are no images, and the result has none
+            images = [random_poly(rng, n_out, max_deg=2) if n_out else
+                      Polynomial.constant(0, rng.randint(-3, 3))
+                      for _ in range(nvars)]
+            got = p.subst(images)
+            assert got == reference_subst(p, images)
+            assert got.nvars == (n_out if nvars else 0)
+
+    def test_constant_hashes_as_its_value(self):
+        # equal values must hash equally, and a constant equals its value
+        three = Polynomial.constant(1, 3)
+        assert three == 3 and hash(three) == hash(3)
+        assert len({three, 3}) == 1
+        assert {Polynomial.constant(2, F(1, 2)): "half"}[F(1, 2)] == "half"
+        zero = Polynomial.constant(3, 0)
+        assert zero == 0 and len({zero, 0, F(0)}) == 1
+        assert x(0, 1) != 1 and len({x(0, 1), 1}) == 2
 
     def test_simplex_integral(self):
         # int over triangle {t1,t2>=0, t1+t2<=1} of t1*t2 = 1/24
@@ -142,6 +211,21 @@ class TestFormAlgebra:
             assert w.pullback(phi) == reference_pullback(w, phi)
             checked += not phi.is_injective()
         assert checked >= 50
+
+    def test_pullback_matches_per_component_loop(self):
+        # seeded forms and maps, from a point (m = 0) to R^3, of full rank
+        # or singular, onto R^0 to R^3
+        rng = random.Random(38)
+        singular = 0
+        for _ in range(240):
+            nvars, m = rng.randint(0, 3), rng.randint(0, 3)
+            phi = random_map(rng, nvars, m, rng.random() < 0.4)
+            deg = rng.randint(0, nvars)
+            w = random_form(rng, nvars, deg) if nvars else \
+                Form.function(Polynomial.constant(0, rng.randint(-4, 4)))
+            assert w.pullback(phi) == reference_minor_pullback(w, phi)
+            singular += m > 0 and not phi.is_injective()
+        assert singular >= 30
 
     def test_pullback_from_a_point(self):
         five = Form.function(Polynomial.constant(0, 5))

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from conftest import make_graph, seeded_draws
+from conftest import connected_subset, make_graph, seeded_draws
 from oracles import brute_force_isomorphic
 
 from ribboncells.enumeration import canonical_key, isomorphic
 from ribboncells.permgraph import faces, genus, validate
 from ribboncells.sampling import random_stable_graph
-from ribboncells.stable import (ContractionError, _forbidden_faces,
-                                contract_edge, contract_set,
+from ribboncells.stable import (ContractionError, _component_genus,
+                                _forbidden_faces, contract_edge, contract_set,
                                 contractible_edges, induced_component_graph)
 
 
@@ -231,6 +231,19 @@ class TestInduced:
                 continue
             assert genus(h) == genus(g)
             assert validate(h) is None
+
+    def test_counted_genus_matches_induced_structure(self):
+        # contract_set counts the genus of each component; the reference
+        # builds the labelled first-return structure and validates it
+        rng = random.Random(17)
+        defects = 0
+        for g in seeded_draws()[:400]:
+            comp = connected_subset(rng, g)
+            touched = {g.vertex_of[h] for e in comp for h in (2 * e, 2 * e + 1)}
+            expected = genus(induced_component_graph(g, comp))
+            assert _component_genus(g, comp, touched) == expected
+            defects += expected > sum(g.vertices[v].defect for v in touched)
+        assert defects >= 50
 
 
 class TestAgainstBruteForce:
