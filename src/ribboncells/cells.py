@@ -66,7 +66,7 @@ class CellPolytope:
     def polytope(self) -> Polytope | None:
         """The H-description ``l_e > 0`` over the chart, or None on an
         empty cell; built on first read, so a cell that is only integrated
-        never loads :mod:`ribboncells.polyform`."""
+        or written as JSON never loads :mod:`ribboncells.polyform`."""
         if self.is_empty:
             return None
         from .polyform import HalfSpace, Polytope

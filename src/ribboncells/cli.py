@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 property failure, 2 usage error.  ``inspect``
 reports an invalid graph (``stable: False`` and its first violation) and
-still exits 0; an unreadable or malformed file exits 2, and so do a
-malformed number list, a perimeter list that is not one positive number
-per face, ``check --cases`` or ``--jobs`` below 1, an unknown
-``check --suite`` and an unstable (g, n).  Usage errors print
+still exits 0, except that ``--dot`` on a graph whose vertex cycles do not
+partition its half-edges (or with a negative defect, which the same pass
+stops at) exits 2 before writing anything; an unreadable or malformed
+file exits 2, and so do a malformed number list, a perimeter list that is
+not one positive number per face, ``check --cases`` or ``--jobs`` below
+1, an unknown ``check --suite`` and an unstable (g, n).  Usage errors print
 ``usage error: ...`` on stderr.  Numbers in ``--perimeters``
 and ``--points`` are integers, decimals or fractions (``19/3``); exponent
 notation (``1e5``) is refused as a bad list entry, since its value can
@@ -49,6 +51,11 @@ def _print_json(payload: dict) -> None:
 def cmd_inspect(args) -> int:
     g = _load_graph(args.graph)
     violation = validate(g)
+    if (args.dot and violation is not None
+            and violation.kind in permgraph.PARTITION_KINDS):
+        # the digraph reads each half-edge's vertex
+        raise ValueError(f"--dot needs vertex cycles that partition the "
+                         f"half-edges ({violation})")
     report = {
         "half_edges": g.num_half_edges,
         "edges": g.num_edges,

@@ -52,25 +52,23 @@ class OrientationError(ValueError):
     convention cannot decide a sign and guessing is not allowed."""
 
 
-def omega(cell: CellPolytope, face_label: int,
-          start_side: int = 0) -> list[list[Fraction]]:
+def omega(cell: CellPolytope, face_label: int) -> list[list[Fraction]]:
     """The antisymmetric chart matrix A of one face's curvature form,
     ``omega = sum_{j<k} A[j][k] dx_j ^ dx_k``.
 
     With u_b the chart row of side b and U_b the sum of the rows before
     it, A = p^-2 sum_{b<k-1} (U_b u_b^T - u_b U_b^T), so one prefix sum
-    over the face word suffices.  ``start_side`` rotates which side is
-    taken first; the matrix does not depend on it, because the rows of
-    all k sides sum to 0 on the chart."""
+    over the face word suffices.  The matrix does not depend on which
+    side is taken first, because the rows of all k sides sum to 0 on the
+    chart."""
     if not cell.chart_volume:
         raise ValueError("cell is empty at p + (eps, eps^2, ...)")
     word = next(w for w in faces(cell.graph) if w.label == face_label)
-    edges = word.edges[start_side:] + word.edges[:start_side]
     d = cell.dim
     prefix = [Fraction(0)] * d
     # half[j][k] = sum_b U_b[j] u_b[k]; A is its antisymmetric part
     half = [[Fraction(0)] * d for _ in range(d)]
-    for e in edges[:-1]:
+    for e in word.edges[:-1]:
         u = cell.edge_charts[e][0]
         nonzero = [(k, c) for k, c in enumerate(u) if c]
         for row, x in zip(half, prefix):

@@ -160,16 +160,30 @@ class StableRibbonGraph:
 
     @cached_property
     def face_label_of(self) -> tuple[int, ...]:
-        """Face label of each half-edge (requires labels to be coherent)."""
+        """Face label of each half-edge.  This is the label check of
+        :func:`validate`: it raises :class:`InvalidGraphError` carrying the
+        :class:`Violation` unless the labels map the faces onto ``1..n``."""
+        face_cycles, labels = self.sigma2_cycles, self.face_labels
+        if not face_cycles:
+            raise InvalidGraphError(Violation(
+                "faces", "graph has no faces; at least one numbered face required"))
         out = [0] * self.num_half_edges
-        for cyc in self.sigma2_cycles:
-            reps = [h for h in cyc if h in self.face_labels]
+        for cyc in face_cycles:
+            reps = [h for h in cyc if h in labels]
             if len(reps) != 1:
-                raise InvalidGraphError(
-                    f"face {cyc} has {len(reps)} labelled representatives, expected 1")
-            lab = self.face_labels[reps[0]]
+                raise InvalidGraphError(Violation(
+                    "face-labels", f"face {cyc} carries {len(reps)} "
+                                   f"representatives, expected exactly 1"))
+            lab = labels[reps[0]]
             for h in cyc:
                 out[h] = lab
+        if len(labels) != len(face_cycles):
+            raise InvalidGraphError(Violation(
+                "face-labels", "spurious face label keys present"))
+        if sorted(labels.values()) != list(range(1, len(face_cycles) + 1)):
+            raise InvalidGraphError(Violation(
+                "face-labels", f"labels {sorted(labels.values())} are not a "
+                               f"bijection onto 1..{len(face_cycles)}"))
         return tuple(out)
 
     # -- validation ---------------------------------------------------
@@ -177,15 +191,12 @@ class StableRibbonGraph:
     def require_valid(self, require_stability: bool = True) -> "StableRibbonGraph":
         """Raise :class:`InvalidGraphError` unless the graph is valid.
 
-        A pass is remembered per ``require_stability`` flag, so validation
-        runs once per instance; an invalid graph is re-checked, and raises,
-        on every call."""
-        passed = self.__dict__.setdefault("_validated", set())
-        if require_stability not in passed:
-            v = validate(self, require_stability=require_stability)
-            if v is not None:
-                raise InvalidGraphError(str(v))
-            passed.add(require_stability)
+        :func:`validate` caches every verdict it reaches, so each check
+        runs once per instance and a repeated call only reads them; an
+        invalid graph raises on every call."""
+        v = validate(self, require_stability)
+        if v is not None:
+            raise InvalidGraphError(str(v))
         return self
 
     def is_ordinary(self) -> bool:
@@ -288,8 +299,8 @@ def with_face_labels(g: StableRibbonGraph,
                      face_labels: Mapping[int, int]) -> StableRibbonGraph:
     """The structure of ``g`` carrying ``face_labels``.  The copy shares
     what ``g`` has already derived from its vertices (the permutations, the
-    face cycles and the partition and connectivity results of
-    :func:`validate`), so validating it checks only the label map."""
+    face cycles and the label-free verdicts of :func:`validate`), so
+    validating it checks only the label map."""
     out = StableRibbonGraph(g.num_half_edges, g.vertices, face_labels)
     for name in _STRUCTURE_CACHES:
         if name in g.__dict__:
@@ -301,27 +312,38 @@ def validate(g: StableRibbonGraph, require_stability: bool = True) -> Violation 
     """Check all structural invariants; return the first violation or None.
 
     The checks run in this order: half-edge count and partition, face
-    labels, connectivity, stability.  The partition and connectivity
-    results read only the vertices; they are remembered per instance and
-    kept by :func:`with_face_labels`.
+    labels, connectivity, stability, each at most once per instance: the
+    label check builds ``face_label_of``, and the other verdicts read only
+    the vertices, so they are kept in one record, which every
+    :func:`with_face_labels` copy made once it exists shares.  Stability is
+    checked only when asked for.
 
     With ``require_stability=False`` the genus-defect stability clause is
     skipped (the induced first-return structures of contraction components
     may legitimately fail it).
     """
-    if "_structure" not in g.__dict__:
+    structure = g.__dict__.get("_structure")
+    if structure is None:
         v = _partition_violation(g)
-        g.__dict__["_structure"] = (
-            v, None if v is not None else _connectivity_violation(g))
-    partition, connectivity = g.__dict__["_structure"]
-    if partition is not None:
-        return partition
-    v = _label_violation(g)
-    if v is None:
-        v = connectivity
-    if v is None and require_stability:
-        v = _stability_violation(g)
-    return v
+        structure = g.__dict__["_structure"] = {
+            "partition": v,
+            "connectivity": None if v is not None else _connectivity_violation(g)}
+    if structure["partition"] is not None:
+        return structure["partition"]
+    try:
+        g.face_label_of
+    except InvalidGraphError as exc:
+        return exc.args[0]
+    if structure["connectivity"] is not None or not require_stability:
+        return structure["connectivity"]
+    if "stability" not in structure:
+        structure["stability"] = _stability_violation(g)
+    return structure["stability"]
+
+
+#: Violations of the first pass over the vertices: with one of them, the
+#: vertex cycles need not partition the claimed half-edges.
+PARTITION_KINDS = frozenset({"half-edges", "defect", "vertex-cycle", "partition"})
 
 
 def _partition_violation(g: StableRibbonGraph) -> Violation | None:
@@ -371,27 +393,6 @@ def _stability_violation(g: StableRibbonGraph) -> Violation | None:
             return Violation(
                 "stability",
                 f"vertex {vi} is a degree-2 transposition with genus defect 0")
-    return None
-
-
-def _label_violation(g: StableRibbonGraph) -> Violation | None:
-    """Face labels: a bijection from the sigma2-cycles onto {1..n}."""
-    face_cycles = g.sigma2_cycles
-    if not face_cycles:
-        return Violation("faces", "graph has no faces; at least one numbered face required")
-    labels = []
-    for cyc in face_cycles:
-        reps = [h for h in cyc if h in g.face_labels]
-        if len(reps) != 1:
-            return Violation(
-                "face-labels",
-                f"face {cyc} carries {len(reps)} representatives, expected exactly 1")
-        labels.append(g.face_labels[reps[0]])
-    if len(g.face_labels) != len(face_cycles):
-        return Violation("face-labels", "spurious face label keys present")
-    if sorted(labels) != list(range(1, len(face_cycles) + 1)):
-        return Violation("face-labels", f"labels {sorted(labels)} are not a "
-                                        f"bijection onto 1..{len(face_cycles)}")
     return None
 
 

@@ -21,7 +21,7 @@ from .chains import Chain, Piece, integrate
 from .complexes import FormOnComplex, PolytopalComplex, validate_form
 from .forms import Form
 from .geometry import AffineMap, Polytope
-from ..linalg import solve_affine, solve_unique
+from ..linalg import row_reduce, solve_affine
 
 
 class MorphismError(ValueError):
@@ -90,22 +90,29 @@ class Morphism:
 
 def _factor_through_face(f: AffineMap, embed: AffineMap) -> AffineMap | None:
     """Solve embed . g = f for g, exactly; None when f does not factor."""
-    # columns of g's matrix and its offset each solve a linear system
-    rows = [list(r) for r in embed.matrix]
-    cols = []
-    for j in range(f.source_dim):
-        rhs = [f.matrix[i][j] for i in range(f.target_dim)]
-        sol = solve_unique(rows, rhs)
-        if sol is None:
-            return None
-        cols.append(sol)
-    rhs0 = [f.offset[i] - embed.offset[i] for i in range(f.target_dim)]
-    off = solve_unique(rows, rhs0)
-    if off is None:
+    # g's matrix beside its offset is the X with
+    # embed.matrix X = [f.matrix | f.offset - embed.offset]
+    return _solve_map(embed, [list(row) + [c - e] for row, c, e
+                              in zip(f.matrix, f.offset, embed.offset)],
+                      f.source_dim, unique=True)
+
+
+def _solve_map(a: AffineMap, rhs: list[list], in_dim: int,
+               unique: bool) -> AffineMap | None:
+    """The map from R^in_dim whose matrix beside its offset is the X with
+    ``a.matrix X = rhs`` (``in_dim + 1`` columns), every column read off
+    one elimination of ``[a.matrix | rhs]`` with the free variables 0.
+    None when a column is inconsistent, or, with ``unique``, when a
+    variable is free."""
+    _, r, pivots = row_reduce(a.matrix, rhs)
+    if (any(any(row) for row in r[len(pivots):])
+            or (unique and len(pivots) < a.source_dim)):
         return None
-    matrix = [[cols[j][i] for j in range(f.source_dim)]
-              for i in range(embed.source_dim)]
-    return AffineMap.create(matrix, off, in_dim=f.source_dim)
+    x = [[Fraction(0)] * (in_dim + 1) for _ in range(a.source_dim)]
+    for i, col in enumerate(pivots):
+        x[col] = r[i]
+    return AffineMap.create([row[:-1] for row in x], [row[-1] for row in x],
+                            in_dim=in_dim)
 
 
 def fiber_chain(morphism: Morphism, base_polytope: str, base_point,
@@ -225,20 +232,10 @@ def basic_descent(morphism: Morphism, two_form: FormOnComplex) -> FormOnComplex:
 
 def _affine_section(f: AffineMap) -> AffineMap | None:
     """A right inverse s with f . s = id, when f is surjective."""
-    rows = [list(r) for r in f.matrix]
-    cols = []
-    for i in range(f.target_dim):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(f.target_dim)]
-        sol = solve_affine(rows, rhs)
-        if sol is None:
-            return None
-        cols.append(sol[0])
-    base = solve_affine(rows, [-o for o in f.offset])
-    if base is None:
-        return None
-    matrix = [[cols[j][i] for j in range(f.target_dim)]
-              for i in range(f.source_dim)]
-    return AffineMap.create(matrix, base[0], in_dim=f.target_dim)
+    # s's matrix beside its offset is an X with f.matrix X = [I | -f.offset]
+    n = f.target_dim
+    return _solve_map(f, [[Fraction(int(i == j)) for j in range(n)] + [-o]
+                          for i, o in enumerate(f.offset)], n, unique=False)
 
 
 def circle_bundle_chern(morphism: Morphism, alpha: FormOnComplex,

@@ -1,6 +1,7 @@
 """JSON formats the ``cells`` and ``intersect --ledger`` outputs write:
-rationals as "num/den" strings, polytopes as H-descriptions, cells, and
-the per-cell ledger of an intersection number."""
+rationals as "num/den" strings, cells with the H-description of each read
+off its chart (so writing a cell never builds a ``polyform.Polytope``),
+and the per-cell ledger of an intersection number."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from . import permgraph
 if TYPE_CHECKING:
     from .cells import CellPolytope
     from .intersect import IntersectionResult
-    from .polyform import Polytope
 
 
 def rat(x: Fraction) -> str:
@@ -20,29 +20,22 @@ def rat(x: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def polytope_to_json(p: Polytope) -> dict:
-    return {
-        "dim": p.dim,
-        "halfspaces": [
-            {"coeffs": [rat(c) for c in h.coeffs], "const": rat(h.const),
-             "strict": h.strict}
-            for h in p.halfspaces],
-    }
-
-
 def cell_to_json(cell: CellPolytope) -> dict:
+    charts = [{"coeffs": [rat(c) for c in coeffs], "const": rat(k)}
+              for coeffs, k in cell.edge_charts]
     return {
         "graph": permgraph.to_json_dict(cell.graph),
         "perimeters": [rat(p) for p in cell.perimeters],
         "incidence": [list(r) for r in cell.incidence],
         "free_edges": list(cell.free_edges),
-        "edge_charts": [{"coeffs": [rat(c) for c in coeffs], "const": rat(k)}
-                        for coeffs, k in cell.edge_charts],
+        "edge_charts": charts,
         "dim": cell.dim,
         "rank": cell.rank,
         "empty": cell.is_empty,
-        "polytope": None if cell.polytope is None
-        else polytope_to_json(cell.polytope),
+        # ``cell.polytope``: each chart row as the halfspace l_e > 0
+        "polytope": None if cell.is_empty else {
+            "dim": cell.dim,
+            "halfspaces": [dict(h, strict=True) for h in charts]},
     }
 
 

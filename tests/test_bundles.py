@@ -180,3 +180,104 @@ class TestMorphismClosureConditions:
         loose = PolytopalComplex(base.polytopes, [])
         with pytest.raises(MorphismError, match="unidentified images"):
             Morphism(total, loose, morphism.maps)
+
+
+def _factor_reference(f, embed):
+    """``_factor_through_face`` by the per-column route: one
+    ``solve_unique`` for each column of g's matrix and one for its offset."""
+    from ribboncells.linalg import solve_unique
+
+    rows = [list(r) for r in embed.matrix]
+    cols = []
+    for j in range(f.source_dim):
+        sol = solve_unique(rows, [f.matrix[i][j] for i in range(f.target_dim)])
+        if sol is None:
+            return None
+        cols.append(sol)
+    off = solve_unique(rows, [f.offset[i] - embed.offset[i]
+                              for i in range(f.target_dim)])
+    if off is None:
+        return None
+    return AffineMap.create([[c[i] for c in cols] for i in range(embed.source_dim)],
+                            off, in_dim=f.source_dim)
+
+
+def _section_reference(f):
+    """``_affine_section`` by the per-column route: one ``solve_affine``
+    for each unit vector and one for the offset."""
+    from ribboncells.linalg import solve_affine
+
+    rows = [list(r) for r in f.matrix]
+    cols = []
+    for i in range(f.target_dim):
+        sol = solve_affine(rows, [F(int(j == i)) for j in range(f.target_dim)])
+        if sol is None:
+            return None
+        cols.append(sol[0])
+    base = solve_affine(rows, [-o for o in f.offset])
+    if base is None:
+        return None
+    return AffineMap.create([[c[i] for c in cols] for i in range(f.source_dim)],
+                            base[0], in_dim=f.target_dim)
+
+
+def _random_map(rng, target, source):
+    """A seeded affine map R^source -> R^target; a third of them repeat a
+    scaled row and a third a scaled column, so rank deficits occur."""
+    rows = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(source)]
+            for _ in range(target)]
+    kind = rng.randrange(3)
+    if kind == 1 and target > 1:
+        rows[-1] = [2 * x for x in rows[0]]
+    elif kind == 2 and source > 1:
+        for row in rows:
+            row[-1] = -row[0]
+    return AffineMap.create(rows, [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(target)], in_dim=source)
+
+
+class TestSolvesAgainstPerColumnRoute:
+    """One elimination of each multi-column system gives what one solve per
+    column gave, ``None`` included."""
+
+    def test_factor_through_face(self):
+        import random
+
+        from ribboncells.polyform.bundles import _factor_through_face
+
+        rng = random.Random(31)
+        outcomes = []
+        for _ in range(400):
+            m = rng.randint(1, 4)
+            embed = _random_map(rng, m, rng.randint(1, m))
+            s = rng.randint(0, 3)
+            # half of the maps are built to factor through embed
+            built = rng.random() < 0.5
+            f = (embed.compose(_random_map(rng, embed.source_dim, s))
+                 if built else _random_map(rng, m, s))
+            got = _factor_through_face(f, embed)
+            assert got == _factor_reference(f, embed)
+            if got is not None:
+                assert embed.compose(got) == f
+            outcomes.append((got is None, built, embed.is_injective()))
+        # maps that factor, maps that do not, and maps that factor through
+        # a non-injective embedding (so with no unique g) all occur
+        assert {(False, True, True), (True, False, True),
+                (True, True, False)} <= set(outcomes)
+
+    def test_affine_section(self):
+        import random
+
+        from ribboncells.polyform.bundles import _affine_section
+
+        rng = random.Random(32)
+        outcomes = []
+        for _ in range(400):
+            f = _random_map(rng, rng.randint(1, 3), rng.randint(1, 4))
+            got = _affine_section(f)
+            assert got == _section_reference(f)
+            if got is not None:
+                assert f.compose(got) == AffineMap.identity(f.target_dim)
+            outcomes.append(got is None)
+        # surjective maps and non-surjective ones both occur
+        assert set(outcomes) == {True, False}

@@ -46,6 +46,44 @@ class TestInspect:
         text = dot.read_text()
         assert text.startswith("digraph") and text.count("->") == 3
 
+    @pytest.mark.parametrize("half_edges, cycle, defect, detail", [
+        (4, [0, 1, 2, 7], 0, "half-edge 7 out of range"),
+        (200000000000, [0, 1, 2], 0,
+         "199999999997 half-edges belong to no vertex"),
+        (4, [0, 1, 2, -1], 0, "half-edge -1 out of range"),
+        # the pass over the vertices stops here, before their half-edges
+        (4, [0, 1, 2, 9], -1, "negative defect -1"),
+    ])
+    def test_dot_refuses_a_broken_partition(self, tmp_path, capsys, half_edges,
+                                            cycle, defect, detail):
+        # the digraph reads each half-edge's vertex: without a partition it
+        # is refused before anything is written or sized by the claim
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"half_edges": half_edges, "vertices": [
+            {"cycles": [cycle], "defect": defect}], "face_labels": {}}))
+        dot = tmp_path / "g.dot"
+        tracemalloc.start()
+        try:
+            code = main(["inspect", str(bad), "--dot", str(dot)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not dot.exists()
+        assert captured.err.startswith("usage error: --dot needs vertex cycles")
+        assert detail in captured.err
+        assert peak < 5 * 2 ** 20
+
+    def test_dot_draws_a_graph_with_broken_labels(self, tmp_path, capsys):
+        # a label violation leaves the partition whole, so the digraph stands
+        g = permgraph.StableRibbonGraph(6, ordinary_graph(
+            [(0, 2, 4), (1, 3, 5)]).vertices, {})
+        f, dot = tmp_path / "g.json", tmp_path / "g.dot"
+        f.write_text(permgraph.dumps(g))
+        assert main(["inspect", str(f), "--dot", str(dot)]) == 0
+        assert "face-labels" in capsys.readouterr().out
+        assert dot.read_text().count("->") == 3
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"half_edges": 6,,}')

@@ -7,8 +7,8 @@ representative graphs of the trivalent classes, the sorted canonical
 keys and boundary triples of two cell closures, the JSON of the first
 draws of the stable-graph sampler for one seed, the JSON of the
 contractions of seeded draws, the report of a whole ``check --suite all``
-pass for three seeds and the ``model0 --points`` output of five
-configurations.  The per-cell ledgers of
+pass for three seeds and the values its suites compare, and the
+``model0 --points`` output of five configurations.  The per-cell ledgers of
 the E <= 6 correlators and the automorphism groups of the closure classes
 are pinned too, so a rewrite of the form algebra or of the automorphism
 search must reproduce them exactly; so are the ledgers at perimeters on
@@ -142,6 +142,48 @@ def test_check_all_reports(seed, tmp_path):
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "82e6dbb44b5b4cfbb0494023dd7522dfac4bfa2c31f0e880d7c642eba68a73cf"
+
+
+#: What each suite compares, as the suites' imported names return it.
+SUITE_VALUES = {
+    "canonical_key": bytes.hex,
+    "stokes_check": lambda out: [str(out[0]), str(out[1])],
+    "fiber_integral_alpha": str,
+    "omega": lambda m: [[str(x) for x in row] for row in m],
+    "check_p_independence": lambda results: [str(r.value) for r in results],
+    "full_map": lambda pts: [[str(c) for c in p.coords] for p in pts],
+}
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "b311b9564b692f92a0cc1ff111c5c732c1bbb0348660a4da3425633451d4c2e1"),
+    (1, "c9ece61d10fee35143a675b36fd28332783051a97a808b676ce9afb60176fbfd"),
+    (60221,
+     "6d0a96d5e897fac5effc41d1f371350719de6295b686af2ea634d26e93ade2d7"),
+])
+def test_check_all_values(seed, digest, monkeypatch):
+    # the report holds no computed value, so the values every suite
+    # compares are digested in call order: the canonical keys of the three
+    # contraction routes, Stokes lhs and rhs, fiber integrals, omega
+    # matrices, p-independence values and full_map coordinates
+    import ribboncells.suites as suites
+
+    h, seen = hashlib.sha256(), set()
+
+    def recording(name, real, show):
+        def wrapper(*args, **kw):
+            out = real(*args, **kw)
+            h.update(json.dumps([name, show(out)]).encode() + b"\n")
+            seen.add(name)
+            return out
+        return wrapper
+
+    for name, show in SUITE_VALUES.items():
+        monkeypatch.setattr(suites, name,
+                            recording(name, getattr(suites, name), show))
+    assert all(r.ok for r in suites.run_suite("all", seed))
+    assert seen == set(SUITE_VALUES)
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("points, digest", [

@@ -174,8 +174,8 @@ class TestOmega:
     def test_starting_side_independence_on_charts(self, theta):
         cell = cell_polytope(theta, [12])
         base = omega(cell, 1)
-        for start in range(1, 6):
-            assert omega(cell, 1, start_side=start) == base
+        for start in range(6):
+            assert _pair_reference(cell, 1, start) == base
 
     def test_starting_side_independence_04(self):
         # the pair sum from every starting side pulls back to one matrix
@@ -207,9 +207,8 @@ class TestOmega:
                     continue
                 for w in faces(c.graph):
                     base = omega(cell, w.label)
-                    assert base == _pair_reference(cell, w.label)
-                    for start in range(1, w.degree):
-                        assert omega(cell, w.label, start_side=start) == base
+                    for start in range(w.degree):
+                        assert _pair_reference(cell, w.label, start) == base
                 checked += 1
             assert checked > 0
 
@@ -288,9 +287,9 @@ class TestSharedMatrices:
         calls = []
         real = intersect.omega
 
-        def counting(cell, face_label, start_side=0):
+        def counting(cell, face_label):
             calls.append(face_label)
-            return real(cell, face_label, start_side)
+            return real(cell, face_label)
 
         monkeypatch.setattr(intersect, "omega", counting)
         q = make_query(genus, d, p)

@@ -73,6 +73,31 @@ class TestValidate:
         assert v is not None and v.kind == "face-labels"
 
 
+CHECKS = ("_partition_violation", "_connectivity_violation",
+          "_stability_violation")
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The name of every validation check run, in order: the three
+    label-free ones by function, and the label scan that builds
+    ``face_label_of`` as ``labels``."""
+    calls = []
+
+    def counting(name, real):
+        def check(g):
+            calls.append(name)
+            return real(g)
+        return check
+
+    for name in CHECKS:
+        monkeypatch.setattr(permgraph, name,
+                            counting(name, getattr(permgraph, name)))
+    scan = StableRibbonGraph.face_label_of
+    monkeypatch.setattr(scan, "func", counting("labels", scan.func))
+    return calls
+
+
 class TestWithFaceLabels:
     """Labels put on a built structure: the copy keeps the structure's
     derived data and checks only the label map."""
@@ -96,6 +121,20 @@ class TestWithFaceLabels:
         monkeypatch.setattr(permgraph, "_partition_violation", forbidden)
         monkeypatch.setattr(permgraph, "_connectivity_violation", forbidden)
         assert g.require_valid() is g and g.face_label_of[0] == 1
+
+    def test_copy_does_not_rerun_label_free_checks(self, theta, check_calls):
+        theta.require_valid(require_stability=False)
+        assert check_calls == ["_partition_violation",
+                               "_connectivity_violation", "labels"]
+        a, b = (with_face_labels(theta, {h: 1}) for h in (3, 4))
+        check_calls.clear()
+        a.require_valid()
+        a.require_valid(require_stability=False)
+        # the stability verdict a computed is its structure's, so neither
+        # its sibling nor theta computes it again
+        b.require_valid()
+        theta.require_valid()
+        assert check_calls == ["labels", "_stability_violation", "labels"]
 
     def test_labels_are_reported_before_connectivity(self):
         # two disjoint thetas with one label map broken: the label
@@ -316,6 +355,28 @@ class TestOpsRequireValidity:
         with pytest.raises(InvalidGraphError):
             faces(g)
 
+    @pytest.mark.parametrize("labels, detail", [
+        ({0: 2}, r"labels \[2\] are not a bijection onto 1..1"),
+        ({}, "carries 0 representatives"),
+        ({0: 1, 3: 1}, "carries 2 representatives"),
+        ({0: 1, 9: 2}, "spurious face label keys"),
+    ])
+    def test_face_label_of_raises_for_each_label_violation(self, theta, labels,
+                                                           detail):
+        g = StableRibbonGraph(theta.num_half_edges, theta.vertices, labels)
+        with pytest.raises(InvalidGraphError, match=detail) as exc:
+            g.face_label_of
+        assert exc.value.args[0] == validate(g)
+        assert validate(g).kind == "face-labels"
+
+    def test_face_label_of_raises_without_faces(self):
+        # validate reports the half-edge count first; the scan still
+        # refuses a graph with no face to label
+        g = StableRibbonGraph(0, (), {})
+        assert validate(g).kind == "half-edges"
+        with pytest.raises(InvalidGraphError, match="faces: graph has no faces"):
+            g.face_label_of
+
     @pytest.fixture
     def validate_calls(self, monkeypatch):
         """The ``require_stability`` flag of every ``validate`` call."""
@@ -329,13 +390,33 @@ class TestOpsRequireValidity:
         monkeypatch.setattr(permgraph, "validate", counting)
         return calls
 
-    def test_validation_runs_once_per_instance_and_flag(self, validate_calls):
+    def test_validation_runs_once_per_instance_and_flag(self, check_calls):
+        # each check runs once; repeated calls only read the verdicts
         g = make_graph([([(0, 2, 4)], 0), ([(1, 5, 3)], 0)])
         for _ in range(3):
             g.require_valid()
             g.require_valid(require_stability=False)
             genus(g)
-        assert validate_calls == [True, False]
+        assert check_calls == ["_partition_violation",
+                               "_connectivity_violation", "labels",
+                               "_stability_violation"]
+
+    @pytest.mark.parametrize("first", range(5))
+    def test_each_check_runs_at_most_once_per_graph(self, check_calls, first):
+        ops = [lambda g: g.require_valid(), lambda g: g.face_label_of,
+               lambda g: g.require_valid(require_stability=False),
+               faces, genus]
+        g = make_graph([([(0, 2, 4)], 0), ([(1, 5, 3)], 0)])
+        for op in (ops[first:] + ops[:first]) * 2:
+            op(g)
+        assert sorted(check_calls) == sorted(CHECKS + ("labels",))
+
+    def test_stability_is_checked_only_when_asked_for(self, check_calls):
+        g = make_graph([([(0, 2, 4)], 0), ([(1, 5, 3)], 0)])
+        faces(g)
+        genus(g)
+        g.require_valid(require_stability=False)
+        assert "_stability_violation" not in check_calls
 
     def test_invalid_graph_raises_every_time(self, validate_calls):
         g = make_graph([([(0,), (1,)], 0), ([(2,), (3,)], 0)])

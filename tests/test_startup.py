@@ -4,8 +4,9 @@ Each probe is a fresh interpreter that runs the command line as
 ``python -m ribboncells.cli`` does and reports, at exit, the modules loaded
 since the probe started.  A query must not load what only other subcommands
 use, nor ``dataclasses``, whose import pulls in ``inspect``, ``ast``,
-``dis`` and ``tokenize``.  The controls show the same probe seeing a module
-that a command does load.
+``dis`` and ``tokenize``; neither may ``cells``, which writes each cell's
+H-description without ``polyform``.  The controls show the same probe
+seeing a module that a command does load.
 """
 
 import json
@@ -67,8 +68,16 @@ def test_control_json_output_loads_json():
     assert "json" in loaded
 
 
-def test_control_cells_output_loads_polyform(tmp_path):
+def test_cells_output_loads_neither_polyform_nor_dataclasses(tmp_path):
+    # each cell's H-description is written straight from its chart
     out, loaded = _probe(RUN_CLI, "cells", "--genus", "1", "--faces", "1",
                          "--perimeters", "5", "--out", str(tmp_path / "c"))
     assert out.startswith("wrote ")
-    assert "ribboncells.polyform" in loaded
+    assert "ribboncells.serialize" in loaded
+    assert loaded & {"ribboncells.polyform", "dataclasses"} == set()
+
+
+def test_control_check_loads_polyform():
+    out, loaded = _probe(RUN_CLI, "check", "--suite", "omega", "--cases", "1")
+    assert out.startswith("omega: 1 cases, ok")
+    assert {"ribboncells.polyform", "dataclasses"} <= loaded
