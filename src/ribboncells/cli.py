@@ -5,9 +5,11 @@ reports an invalid graph (``stable: False`` and its first violation) and
 still exits 0, except that ``--dot`` on a graph whose vertex cycles do not
 partition its half-edges (or with a negative defect, which the same pass
 stops at) exits 2 before writing anything; an unreadable or malformed
-file exits 2, and so do a malformed number list, a perimeter list that is
-not one positive number per face, ``check --cases`` or ``--jobs`` below
-1, an unknown ``check --suite`` and an unstable (g, n).  Usage errors print
+file exits 2, and so do a malformed number list, an exponent list that
+is empty or has a negative entry, a perimeter list that is not one
+positive number per face, ``check --cases`` or ``--jobs`` below 1, an
+unknown ``check --suite`` and an unstable (g, n); exponents that sum to
+anything but 3g - 3 + n exit 1.  Usage errors print
 ``usage error: ...`` on stderr.  Numbers in ``--perimeters``
 and ``--points`` are integers, decimals or fractions (``19/3``); exponent
 notation (``1e5``) is refused as a bad list entry, since its value can

@@ -45,8 +45,9 @@ class SizeGuardError(ValueError):
 
 
 #: Largest edge count accepted by :func:`enumerate_trivalent`.  Past it, on
-#: a 2-CPU Xeon with Python 3.11, (2,2) grows its 713 classes in 5 s, and
-#: (0,6) holds 122,880 classes in 465 MB after 19 s, 17 s of it labelling.
+#: a 2-vCPU host with Python 3.11, (2,2) gives its 713 classes in 1.3 s, and
+#: (0,6) holds 122,880 classes at a peak of 292 MB after 4.8 s, 4.2 s of it
+#: labelling.
 MAX_EDGES = 9
 
 
@@ -188,15 +189,19 @@ def isomorphic(g1: StableRibbonGraph, g2: StableRibbonGraph) -> bool:
     return canonical_key(g1) == canonical_key(g2)
 
 
-def automorphisms(g: StableRibbonGraph) -> AutomorphismGroup:
-    """The full group of face-label-fixing automorphisms, read off the
-    labelled least traversals: the element that carries the first least
-    traversal ``o_min`` onto the least traversal ``o`` maps ``o_min[i]``
-    to ``o[i]``."""
-    _, orders = _least_serialization(g, True)
+def _group(orders: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms read off the least traversal orders of one
+    search, sorted: the element that carries the first order ``o_min``
+    onto the order ``o`` maps ``o_min[i]`` to ``o[i]``."""
     # where each half-edge stands in o_min
     at = sorted(range(len(orders[0])), key=orders[0].__getitem__)
-    elements = tuple(sorted(tuple(o[i] for i in at) for o in orders))
+    return tuple(sorted(tuple(o[i] for i in at) for o in orders))
+
+
+def automorphisms(g: StableRibbonGraph) -> AutomorphismGroup:
+    """The full group of face-label-fixing automorphisms, read off the
+    labelled least traversals."""
+    elements = _group(_least_serialization(g, True)[1])
     return AutomorphismGroup(order=len(elements), elements=elements)
 
 
@@ -233,17 +238,38 @@ def _subdivide(s0: list[int], h: int, c: int, z: int) -> None:
     s0[k], s0[c], s0[z] = c, z, k
 
 
-def _children(s0: tuple[int, ...]):
-    """Every edge insertion and tadpole on the trivalent structure ``s0``
-    with E edges, as vertex permutations with E + 3 edges.
+def _children(parent: StableRibbonGraph):
+    """The edge insertions and tadpoles on the trivalent ``parent`` with E
+    edges, as vertex permutations with E + 3 edges, one per orbit of the
+    parent's unlabelled automorphism group.
 
-    An insertion is two subdivisions, the second anywhere on the first's
-    result (its new edge included), whose stubs form edge E + 2.  A tadpole
-    is one subdivision whose stub ends at a new vertex carrying the loop
-    E + 1.  Every child is connected and trivalent."""
+    An insertion ``(h, h2)`` is two subdivisions, the second at ``h2`` on
+    the first's result (its new edge ``m, m+1`` included, m = 2E), whose
+    stubs form edge E + 2.  A tadpole at ``h`` is one subdivision whose
+    stub ends at a new vertex carrying the loop E + 1.  Every child is
+    connected and trivalent.
+
+    The orbit rule.  Let α be an automorphism of the parent, which
+    commutes with ``sigma0`` and with ``h -> h ^ 1``, and α′ the map that
+    is α on the old half-edges and fixes the new ones.  α′ carries the
+    subdivision at ``h`` onto the one at α(h): it maps the three entries
+    that the subdivision rewires onto theirs and commutes with the rest.
+    So the tadpole at ``h`` is isomorphic to the tadpole at α(h), and the
+    insertion ``(h, h2)`` to the insertion ``(α(h), α′(h2))``.  A child is
+    skipped when some α gives it a lexicographically smaller index.  An
+    automorphism of a connected map that fixes one half-edge is the
+    identity, so that happens exactly when α(h) < h for some α: only the
+    least half-edge of each orbit is subdivided first.  Children are met in
+    index order, so every skipped child is isomorphic to a child of the
+    same parent met before it, and the first child met in each isomorphism
+    class is never skipped.  The group is read off the least traversals of
+    the search that deduplicated the parent, so it costs no search."""
+    s0 = parent.sigma0
     m = len(s0)
+    group = _group(_least_serialization(parent, False)[1])
     base = list(s0) + [-1] * 6
-    for h in range(m):
+    # min(a[h] for a in group) is the least half-edge of h's orbit
+    for h in sorted(set(map(min, zip(*group)))):
         one = base.copy()
         _subdivide(one, h, m, m + 4)
         tadpole = one.copy()
@@ -255,24 +281,41 @@ def _children(s0: tuple[int, ...]):
             yield two
 
 
+def _face_count(s0: list[int]) -> int:
+    """The number of faces of the ordinary graph with vertex permutation
+    ``s0``: the cycles of ``h -> s0[h ^ 1]``, that is sigma0 sigma1, which
+    is sigma0 sigma2^-1 sigma0^-1 and so has as many cycles as sigma2."""
+    return len(cycles([s0[h ^ 1] for h in range(len(s0))]))
+
+
 def _unlabelled_classes(g: int, n: int) -> list[StableRibbonGraph]:
     """One trivalent graph per unlabelled class at ``(g, n)``, the first
     met.  Above E = 3 the classes grow from those with E - 3 edges: an
     insertion inside one face of a ``(g, n-1)`` graph or a tadpole adds a
     face, and an insertion across two faces of a ``(g-1, n+1)`` graph
-    joins them and adds a handle; no other child has ``n`` faces."""
+    joins them and adds a handle; no other child has ``n`` faces.
+
+    Each parent yields one child per orbit of its automorphism group
+    (:func:`_children`).  The children it skips are isomorphic to children
+    of the same parent met before them, so the first child met in every
+    class is the one the unpruned growth keeps, in the same order.  Faces
+    are counted on the raw permutation, and a graph is built and searched
+    only for a child with ``n`` faces."""
     if (g, n) in _SEEDS:
         candidates = _SEEDS[g, n]
     else:
         sources = ([(g, n - 1)] if n > 1 else []) + ([(g - 1, n + 1)] if g > 0 else [])
         candidates = (s0 for source in sources
                       for parent in _unlabelled_classes(*source)
-                      for s0 in _children(parent.sigma0))
+                      for s0 in _children(parent))
     found: dict[bytes, StableRibbonGraph] = {}
     for s0 in candidates:
+        if _face_count(s0) != n:
+            continue
         child = ordinary_graph(cycles(s0))
-        if child.num_faces == n:
-            found.setdefault(canonical_key(child, labelled=False), child)
+        if child.num_faces != n:
+            raise AssertionError("face count of a child disagrees with its graph")
+        found.setdefault(canonical_key(child, labelled=False), child)
     return list(found.values())
 
 
@@ -302,9 +345,12 @@ def enumerate_trivalent(g: int, n: int) -> list[GraphClass]:
     genus ``g`` with ``n`` labelled faces, complete and duplicate-free.
 
     The unlabelled classes grow from the three with E = 3 edges by edge
-    insertions and tadpoles, E - 3 edges at a time, and are deduplicated
-    by ``canonical_key(labelled=False)`` (a canonical construction path
-    after McKay, *Isomorph-free exhaustive generation*, 1998); each is then
+    insertions and tadpoles, E - 3 edges at a time, one per orbit of the
+    parent's automorphism group (a skipped child is isomorphic to one met
+    before it, so the pruning keeps the same first child per class; see
+    :func:`_children`), and are deduplicated by
+    ``canonical_key(labelled=False)`` (a canonical construction path after
+    McKay, *Isomorph-free exhaustive generation*, 1998); each is then
     expanded over the ``n!`` face labellings, whose keys and automorphism
     groups are read off that class's unlabelled search without another
     one.  Completeness at E <= 9 is tested against Kontsevich's identity.

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .cells import CellPolytope, cell_polytope
@@ -82,10 +82,10 @@ def omega(cell: CellPolytope, face_label: int) -> list[list[Fraction]]:
             for j in range(d)]
 
 
-def _combination(mats, weights) -> list[list[Fraction]]:
+def _combination(mats, weights) -> list[list]:
     """``sum_i weights[i] * mats[i]``, skipping zero weights."""
     d = len(mats[0])
-    out = [[Fraction(0)] * d for _ in range(d)]
+    out = [[0] * d for _ in range(d)]
     for w, m in zip(weights, mats):
         if w:
             out = [[a + w * x for a, x in zip(ra, rm)] for ra, rm in zip(out, m)]
@@ -102,7 +102,9 @@ def restrict_to_cell(mats: Sequence, exponents: Sequence[int]) -> Fraction:
     is the sum, over the subsets of the copies, of
     (-1)^(D-|S|) Pf(sum_{k in S} A_k); a subset holding s_i copies of face
     i stands for prod_i C(d_i, s_i) of them, so only prod_i (d_i + 1)
-    Pfaffians are taken."""
+    Pfaffians are taken.  Each Pfaffian is homogeneous of degree D in
+    the matrices, so integer matrices C A_i give C^D times the coefficient
+    (see :func:`integrate_cell`)."""
     d = len(mats[0])
     D = sum(exponents)
     if 2 * D != d:
@@ -121,8 +123,14 @@ def orientation_sign(mats: Sequence, perimeters: Sequence) -> int:
     """Sign of ``(sum_i p_i^2 omega_i)^D / D! = Pf(sum_i p_i^2 A_i)`` from
     the chart matrices A_i of the faces; +1 on a zero-dimensional cell,
     whose Pfaffian is that of the empty matrix.  An odd-dimensional cell
-    has Pfaffian 0 and, like any other degenerate one, raises."""
-    pf = pfaffian(_combination(mats, [Fraction(p) ** 2 for p in perimeters]))
+    has Pfaffian 0 and, like any other degenerate one, raises.
+
+    The weights are the integers (p_i L)^2, L the common denominator of
+    the perimeters: they multiply the Pfaffian by L^2D > 0, which keeps its
+    sign and its vanishing, and integer matrices then give an integer sum."""
+    p = [Fraction(x) for x in perimeters]
+    den = lcm(*(x.denominator for x in p))
+    pf = pfaffian(_combination(mats, [int(x * den) ** 2 for x in p]))
     if pf == 0:
         raise OrientationError(
             "reference form degenerate on this cell; refusing to guess a sign")
@@ -143,8 +151,10 @@ def make_query(genus: int, exponents: Sequence[int],
                perimeters: Sequence | None = None) -> IntersectionQuery:
     d = tuple(int(x) for x in exponents)
     n = len(d)
+    # a malformed list is a usage error, like a malformed perimeter list
+    # below; only a well-formed list with the wrong sum is a QueryError
     if n < 1 or any(x < 0 for x in d):
-        raise QueryError("exponents must be non-negative, one per face")
+        raise ValueError("need one non-negative exponent per face")
     # an unstable (g, n) is refused as such, whatever the exponents sum to
     require_stable(genus, n)
     target = 3 * genus - 3 + n
@@ -207,8 +217,14 @@ def integrate_cell(cls: GraphClass, query: IntersectionQuery) -> CellContributio
     if cell.rank_deficient:
         raise ValueError("rank-deficient incidence matrix over these perimeters")
     mats = [omega(cell, i) for i in range(1, g.num_faces + 1)]
+    # C A_i are integer matrices, C the common denominator of every entry;
+    # Pf(C A) = C^D Pf(A), so the sums and Pfaffians run on ints and the
+    # coefficient is divided by C^D once
+    scale = lcm(*(x.denominator for m in mats for row in m for x in row))
+    mats = [[[x.numerator * (scale // x.denominator) for x in row] for row in m]
+            for m in mats]
     sign = orientation_sign(mats, query.perimeters)
-    coeff = restrict_to_cell(mats, query.exponents)
+    coeff = restrict_to_cell(mats, query.exponents) / scale ** (cell.dim // 2)
     contribution = sign * coeff * vol / aut
     return CellContribution(cls.key, aut, False, sign, coeff, vol, contribution)
 

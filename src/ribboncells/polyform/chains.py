@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .complexes import FormOnComplex, PolytopalComplex
@@ -35,6 +36,7 @@ class Piece:
     def degree(self) -> int:
         return len(self.vertices) - 1
 
+    @cached_property
     def chart(self) -> AffineMap:
         """The affine map (t_1..t_k) -> v_0 + sum t_i (v_i - v_0)."""
         v0 = self.vertices[0]
@@ -113,7 +115,7 @@ def integrate(form: FormOnComplex, chain: Chain) -> Fraction:
     total = Fraction(0)
     for coeff, piece in chain.terms:
         local = form.forms[piece.polytope]
-        pulled = local.pullback(piece.chart())
+        pulled = local.pullback(piece.chart)
         k = chain.degree
         poly = pulled.coefficient(tuple(range(k)))
         total += coeff * simplex_integral(poly)

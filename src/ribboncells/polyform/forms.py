@@ -171,8 +171,7 @@ class Form:
         if phi.target_dim != self.nvars:
             raise ValueError("map target does not match the form's space")
         m = phi.source_dim
-        coords = [Polynomial.affine(row, off)
-                  for row, off in zip(phi.matrix, phi.offset)]
+        coords = phi.coordinates
         out: dict[tuple[int, ...], Polynomial] = {}
         for cols in combinations(range(m), self.degree):
             total = None

@@ -17,6 +17,7 @@ from itertools import combinations
 from math import factorial
 from typing import Sequence
 
+from .poly import Polynomial
 from ..linalg import det, nullspace, rank, solve_unique
 
 
@@ -51,6 +52,12 @@ class AffineMap:
     def identity(n: int) -> "AffineMap":
         return AffineMap.create(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], [0] * n, n)
+
+    @cached_property
+    def coordinates(self) -> tuple[Polynomial, ...]:
+        """The target coordinates as affine polynomials in the source."""
+        return tuple(Polynomial.affine(row, off)
+                     for row, off in zip(self.matrix, self.offset))
 
     @property
     def source_dim(self) -> int:

@@ -21,7 +21,8 @@ class Polynomial:
         self.nvars = nvars
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c != 0:
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong arity")

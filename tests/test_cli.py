@@ -254,6 +254,17 @@ class TestIntersectCmd:
 
     def test_bad_exponents(self, capsys):
         assert main(["intersect", "--genus", "0", "--d", "1,1,1"]) == 1
+        assert capsys.readouterr().err.startswith("error: exponents sum to")
+
+    @pytest.mark.parametrize("d", ["--d=,", "--d=-1,2,0"],
+                             ids=["empty", "negative"])
+    def test_malformed_exponents_are_usage_errors(self, capsys, d):
+        # the same exit code as a malformed perimeter list
+        assert main(["intersect", "--genus", "0", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "usage error: need one non-negative exponent per face\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("perimeters", ["0,5,7", "3,5"],
                              ids=["non-positive", "too-few"])

@@ -13,7 +13,8 @@ from ribboncells.enumeration import (SizeGuardError, automorphisms,
                                      canonical_key, enumerate_cells,
                                      enumerate_trivalent, isomorphic,
                                      trivalent_edge_count)
-from ribboncells.permgraph import StableRibbonGraph, genus, relabel, validate
+from ribboncells.permgraph import (StableRibbonGraph, cycles, genus,
+                                   ordinary_graph, relabel, validate)
 from ribboncells.sampling import random_edge_relabelling, random_stable_graph
 
 
@@ -220,6 +221,61 @@ class TestGrowth:
         assert state["grown"] and state["early"] > 0
         assert state["late"] == 0
 
+    @pytest.mark.parametrize("g, n, bound", [(1, 2, 28), (0, 4, 22)])
+    def test_search_count(self, monkeypatch, g, n, bound):
+        """Canonical searches made by the whole enumeration, growth
+        included; growing every child of every parent took 109 and 58."""
+        calls = []
+        search = enumeration._least_traversals
+
+        def counting(graph):
+            calls.append(graph)
+            return search(graph)
+
+        monkeypatch.setattr(enumeration, "_least_traversals", counting)
+        enumerate_trivalent(g, n)
+        assert len(calls) <= bound
+
+    @pytest.mark.parametrize("g, n", [(g, n) for g, n, _, _ in CLASS_COUNTS])
+    def test_growth_matches_the_unpruned_reference(self, g, n):
+        assert [c.sigma0 for c in enumeration._unlabelled_classes(g, n)] \
+            == [c.sigma0 for c in reference_classes(g, n)]
+
+    @pytest.mark.parametrize("g, n", [(g, n) for g, n, _, _ in CLASS_COUNTS
+                                      if trivalent_edge_count(g, n) > 3])
+    def test_skipped_children_were_met_earlier(self, g, n):
+        """The pruned children of each parent are a subsequence of all its
+        children, and each skipped one is isomorphic to a kept one before
+        it."""
+        sources = ([(g, n - 1)] if n > 1 else []) + ([(g - 1, n + 1)] if g > 0 else [])
+        for source in sources:
+            for parent in enumeration._unlabelled_classes(*source):
+                kept = iter(enumeration._children(parent))
+                nxt = next(kept, None)
+                seen = set()
+                for s0 in reference_children(parent.sigma0):
+                    key = unlabelled_key(s0)
+                    if s0 == nxt:
+                        seen.add(key)
+                        nxt = next(kept, None)
+                    else:
+                        assert key in seen
+                assert nxt is None
+
+    def test_pruning_by_a_non_automorphism_is_caught(self, monkeypatch):
+        """Negative control: with the edge reversal ``(0 1)``, which is not
+        an automorphism, among each parent's automorphisms the growth keeps
+        other representatives at E = 9."""
+        group = enumeration._group
+
+        def with_swap(orders):
+            return group(orders) + ((1, 0, *range(2, len(orders[0]))),)
+
+        monkeypatch.setattr(enumeration, "_group", with_swap)
+        for g, n in [(2, 1), (1, 3), (0, 5)]:
+            assert [c.sigma0 for c in enumeration._unlabelled_classes(g, n)] \
+                != [c.sigma0 for c in reference_classes(g, n)]
+
     @pytest.mark.parametrize("g, n", [(2, 1), (1, 3), (0, 5)])
     def test_nine_edge_classes_are_trivalent(self, g, n):
         for c in trivalent_classes(g, n):
@@ -282,6 +338,45 @@ def _traversals(g: StableRibbonGraph, root: int):
                 yield from run(order + [start], seen | {start})
 
     yield from run([root], {root})
+
+
+def reference_children(s0):
+    """Every edge insertion and tadpole on ``s0``, unpruned, in the order
+    of the growth."""
+    m = len(s0)
+    base = list(s0) + [-1] * 6
+    for h in range(m):
+        one = base.copy()
+        enumeration._subdivide(one, h, m, m + 4)
+        tadpole = one.copy()
+        tadpole[m + 5], tadpole[m + 2], tadpole[m + 3] = m + 2, m + 3, m + 5
+        yield tadpole
+        for h2 in range(m + 2):
+            two = one.copy()
+            enumeration._subdivide(two, h2, m + 2, m + 5)
+            yield two
+
+
+def unlabelled_key(s0):
+    return canonical_key(ordinary_graph(cycles(s0)), labelled=False)
+
+
+def reference_classes(g, n):
+    """The growth of ``enumeration._unlabelled_classes`` over every child
+    of every parent: the first graph met per unlabelled key."""
+    if (g, n) in enumeration._SEEDS:
+        candidates = enumeration._SEEDS[g, n]
+    else:
+        sources = ([(g, n - 1)] if n > 1 else []) + ([(g - 1, n + 1)] if g > 0 else [])
+        candidates = (s0 for source in sources
+                      for parent in reference_classes(*source)
+                      for s0 in reference_children(parent.sigma0))
+    found = {}
+    for s0 in candidates:
+        child = ordinary_graph(cycles(s0))
+        if child.num_faces == n:
+            found.setdefault(canonical_key(child, labelled=False), child)
+    return list(found.values())
 
 
 def reference_least_traversals(g):

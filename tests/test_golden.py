@@ -46,11 +46,14 @@ from ribboncells.stable import (ContractionError, contract_edge, contract_set,
     (1, 1, "af7e939d4a29e0a93909edfdfafc2b0b9c6abb83830df5b86d32df6fa697718a"),
     (0, 4, "61b84b524ff4f4ab65e81ec250a7bcdc82f279a459a258ed18d14b649a3516e0"),
     (1, 2, "f3480d24a71619daa8bad96580a489d15c8640e5cdbfb61e58f3152f55afc986"),
+    (2, 1, "009b7fb8f6b6cae5ef87a944c7d33dbf1bbb150c31c899b4c8db5cf295e6a7e6"),
+    (1, 3, "608a88aab87a9ea2377d03e64534fad5b9f3bc5ee4a63156e00fa5f18b2c042a"),
+    (0, 5, "0c36fc8fde99ada1f6fced9ad67dfe821c464001d1e5af8324f24901524fe451"),
 ])
 def test_trivalent_keys_and_representatives(g, n, digest):
     # boundary edge indices are indices into these representatives
     text = json.dumps([[c.key.hex(), to_json_dict(c.graph)]
-                       for c in enumerate_trivalent(g, n)], sort_keys=True)
+                       for c in trivalent_classes(g, n)], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -277,6 +277,34 @@ class TestOrientation:
         assert a.contribution == b.contribution == F(1, 24)
 
 
+class TestIntegerSums:
+    @pytest.mark.parametrize("genus, d, p", [
+        (1, (1, 1), (F(19, 3), 5)), (1, (2, 0), (3, F(7, 2))),
+        (0, (1, 0, 0, 0), (F(7, 2), 5, F(22, 3), 11)),
+        (2, (4,), (F(40, 3),)), (0, (2, 0, 0, 0, 0), None)])
+    def test_matches_the_fraction_route(self, genus, d, p):
+        """``integrate_cell`` sums integer matrices C A_i; the reference
+        weights the Fraction matrices A_i by p_i^2 for the sign and takes
+        the coefficient from them directly."""
+        from conftest import trivalent_classes
+        from ribboncells.intersect import _combination
+        from ribboncells.linalg import pfaffian
+
+        q = make_query(genus, d, p)
+        checked = 0
+        for c in trivalent_classes(genus, len(d)):
+            got = integrate_cell(c, q)
+            cell = cell_polytope(c.graph, q.perimeters)
+            if not cell.chart_volume:
+                continue
+            mats = _face_matrices(cell)
+            pf = pfaffian(_combination(mats, [x * x for x in q.perimeters]))
+            assert got.orientation == (1 if pf > 0 else -1)
+            assert got.coefficient == restrict_to_cell(mats, d)
+            checked += 1
+        assert checked > 0
+
+
 class TestSharedMatrices:
     @pytest.mark.parametrize("genus, d, p", [
         (0, (0, 0, 0), (3, 22, 19)), (1, (1,), None), (0, (1, 0, 0, 0), None),
