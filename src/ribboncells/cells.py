@@ -25,12 +25,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .linalg import adjugate, independent_rows, row_reduce
-from .permgraph import FaceWord, StableRibbonGraph, faces
+from .linalg import adjugate, gauss_jordan, independent_rows
+from .permgraph import FaceWord, StableRibbonGraph, face_word, faces
 
 if TYPE_CHECKING:
     from .polyform import FormOnComplex, Morphism, PolytopalComplex, Polytope
@@ -39,28 +39,40 @@ if TYPE_CHECKING:
 class CellPolytope:
     """The fiber of a graph cell over fixed perimeters, in an exact chart.
 
-    ``edge_charts[e]`` is ``(coeffs, const)`` with
-    ``l_e(x) = coeffs . x + const`` over the free coordinates; empty cells
-    keep their chart data but have ``polytope = None``.  ``chart_volume``
-    is the :func:`basis_volume` of the cell at ``p + (eps, eps^2, ...)``;
-    it is what the cell contributes to an integral, and it can be non-zero
-    on an empty cell whose point the perturbed perimeters hold.
+    Over the free coordinates x, ``l_e(x) = directions[e] . x / delta +
+    offsets[e] / (delta scale)`` on integers, delta = |det M_P| and scale
+    the perimeters' common denominator; ``edge_charts[e]`` is its
+    ``Fraction`` view ``(coeffs, const)``.  Empty cells keep their chart
+    data but have ``polytope = None``.  ``chart_volume`` is the
+    :func:`basis_volume` of the cell at ``p + (eps, eps^2, ...)``; it is
+    what the cell contributes to an integral, and it can be non-zero on an
+    empty cell whose point the perturbed perimeters hold.
     """
 
     def __init__(self, graph: StableRibbonGraph,
                  perimeters: tuple[Fraction, ...],
                  incidence: tuple[tuple[int, ...], ...],
                  free_edges: tuple[int, ...],
-                 edge_charts: tuple[tuple[tuple[Fraction, ...], Fraction], ...],
+                 directions: tuple[tuple[int, ...], ...], delta: int,
+                 offsets: Sequence[int], scale: int,
                  is_empty: bool, rank: int, chart_volume: Fraction):
         self.graph = graph
         self.perimeters = perimeters
         self.incidence = incidence
         self.free_edges = free_edges
-        self.edge_charts = edge_charts
+        self.directions = directions
+        self.delta = delta
+        self.offsets = offsets
+        self.scale = scale
         self.is_empty = is_empty
         self.rank = rank
         self.chart_volume = chart_volume
+
+    @cached_property
+    def edge_charts(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        d = self.delta
+        return tuple((tuple(Fraction(c, d) for c in u), Fraction(k, d * self.scale))
+                     for u, k in zip(self.directions, self.offsets))
 
     @cached_property
     def polytope(self) -> Polytope | None:
@@ -83,12 +95,6 @@ class CellPolytope:
     def rank_deficient(self) -> bool:
         return self.rank < len(self.perimeters)
 
-    def lengths_at(self, x: Sequence) -> tuple[Fraction, ...]:
-        xs = [Fraction(v) for v in x]
-        return tuple(
-            sum((c * v for c, v in zip(coeffs, xs)), Fraction(0)) + const
-            for coeffs, const in self.edge_charts)
-
     def interior_point(self) -> tuple[Fraction, ...]:
         """Centroid of the chart vertices; strictly positive when the cell
         is non-empty."""
@@ -97,9 +103,7 @@ class CellPolytope:
         if self.dim == 0:
             return ()
         vs = self.polytope.vertices()
-        n = len(vs)
-        return tuple(sum((v[i] for v in vs), Fraction(0)) / n
-                     for i in range(self.dim))
+        return tuple(sum(c, Fraction(0)) / len(vs) for c in zip(*vs))
 
 
 def incidence_matrix(g: StableRibbonGraph) -> tuple[tuple[int, ...], ...]:
@@ -130,9 +134,9 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
     maximal independent set in label order), sorted.  Relabelling the faces
     only permutes those rows, so every labelling of a structure shares one
     factorization; :func:`basis_volume` says why a row permutation changes
-    nothing but the tie-break.  The cell then costs the particular solution
-    ``T p``, a check that the dependent rows hold at it, and one evaluation
-    of the basis table, in which only the eps tie-break reads the labels.
+    nothing but the tie-break.  The cell then costs, in integers, ``T L p``,
+    a check that the dependent rows hold at it, and one evaluation of the
+    basis table, in which only the eps tie-break reads the labels.
     """
     g.require_valid()
     p = [Fraction(x) for x in perimeters]
@@ -140,29 +144,29 @@ def cell_polytope(g: StableRibbonGraph, perimeters: Sequence) -> CellPolytope:
         raise ValueError(f"expected {g.num_faces} perimeters, got {len(p)}")
     if any(x <= 0 for x in p):
         raise ValueError("perimeters must be strictly positive")
+    scale = lcm(*(x.denominator for x in p))
+    P = [x.numerator * (scale // x.denominator) for x in p]
     M = incidence_matrix(g)
     E = g.num_edges
     rows = independent_rows(M)
     f = factorization(tuple(sorted(M[i] for i in rows)))
     at = {row: k for k, row in enumerate(f.rows)}
     order = [at[M[i]] for i in rows]
-    q = [Fraction(0)] * len(rows)
-    for i, k in zip(rows, order):
-        q[k] = p[i]
-    particular = [Fraction(0)] * E
+    q = [P[i] for _, i in sorted(zip(order, rows))]  # P on the sorted rows
+    offsets = [0] * E  # the particular solution times delta L
     for col, t in zip(f.pivots, f.transform):
-        particular[col] = sum((a * b for a, b in zip(t, q)), Fraction(0))
+        offsets[col] = sum(a * b for a, b in zip(t, q))
     # every other row is a combination of the independent ones, so the
     # system is consistent exactly when those rows hold at the particular
     # solution too
-    if any(sum(m * x for m, x in zip(M[i], particular)) != p[i]
+    if any(sum(m * x for m, x in zip(M[i], offsets)) != P[i] * f.chart_det
            for i in range(len(M)) if i not in rows):
-        return CellPolytope(g, tuple(p), M, (), (), True, E, Fraction(0))
-    charts = tuple(zip(f.directions, particular))
-    vol = basis_volume(f, q, order)
+        return CellPolytope(g, tuple(p), M, (), (), 1, (), 1, True, E, Fraction(0))
+    vol = basis_volume(f, q, scale, order)
     empty = vol == 0 or any(
-        const <= 0 and not any(coeffs) for coeffs, const in charts)
-    return CellPolytope(g, tuple(p), M, f.free, charts, empty, len(rows), vol)
+        k <= 0 and not any(u) for u, k in zip(f.directions, offsets))
+    return CellPolytope(g, tuple(p), M, f.free, f.directions, f.chart_det,
+                        offsets, scale, empty, len(rows), vol)
 
 
 class Factorization(NamedTuple):
@@ -171,20 +175,19 @@ class Factorization(NamedTuple):
     vector whose independent rows sort to ``rows``.
 
     ``pivots`` and ``free`` are the basic and free columns of the reduced
-    row echelon form ``R = T rows``; the chart particular solution is
-    ``T p`` on the pivots, and ``directions[e]`` are the coefficients of
-    ``l_e`` over the free coordinates.  ``chart_det`` is ``|det M_P|`` on
-    the pivots.  Each entry of ``bases`` belongs to one non-singular basis
-    B and holds ``(adj, positive, y, weight)``: the integer adjugate of
-    ``M_B``, whether ``D = det M_B > 0``, ``y = w_B adj`` and
-    ``weight = denominator / den`` with ``den = |D| prod_k (-r_k D)`` (see
-    :func:`basis_volume`)."""
+    row echelon form ``R = T rows``.  ``transform`` is T and
+    ``directions[e]`` the coefficients of ``l_e`` over the free coordinates,
+    both as integer rows over ``chart_det = |det M_P|`` on the pivots.
+    Each entry of ``bases`` belongs to one non-singular basis B and holds
+    ``(adj, positive, y, weight)``: the integer adjugate of ``M_B``, whether
+    ``D = det M_B > 0``, ``y = w_B adj`` and ``weight = denominator / den``
+    with ``den = |D| prod_k (-r_k D)`` (see :func:`basis_volume`)."""
 
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     free: tuple[int, ...]
-    transform: tuple[tuple[Fraction, ...], ...]
-    directions: tuple[tuple[Fraction, ...], ...]
+    transform: tuple[tuple[int, ...], ...]
+    directions: tuple[tuple[int, ...], ...]
     chart_det: int
     bases: tuple[tuple, ...]
     denominator: int
@@ -202,13 +205,17 @@ def factorization(rows: tuple[tuple[int, ...], ...]) -> Factorization:
     ``2^n < K`` in size, and ``sum_e z_e K^e = 0`` forces z = 0, which
     ``z_k = D != 0`` rules out."""
     n, E = len(rows), len(rows[0])
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    rref, transform, pivots = row_reduce(rows, identity)
+    # fraction-free Gauss-Jordan of [rows | I] ends with [a R | a T], a the
+    # last pivot, which is +-det M_P (see gauss_jordan); keep both over |a|
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, delta, _ = gauss_jordan(m, E)
+    if delta < 0:
+        m, delta = [[-x for x in row] for row in m], -delta
     free = tuple(e for e in range(E) if e not in pivots)
-    directions = [[Fraction(0)] * len(free) for _ in range(E)]
+    directions = [[0] * len(free) for _ in range(E)]
     for k, fc in enumerate(free):
-        directions[fc][k] = Fraction(1)
-        for r, col in zip(rref, pivots):
+        directions[fc][k] = delta
+        for r, col in zip(m, pivots):
             directions[col][k] = -r[fc]
     K = 2 ** n + 1
     w = [K ** e for e in range(E)]
@@ -224,37 +231,36 @@ def factorization(rows: tuple[tuple[int, ...], ...]) -> Factorization:
                 den *= sum(yi * row[k] for yi, row in zip(y, rows)) - w[k] * D
         bases.append((tuple(map(tuple, adj)), D > 0, y, den))
     denominator = lcm(*(abs(den) for *_, den in bases))
-    chart_det = abs(adjugate([[row[j] for j in pivots] for row in rows])[0])
     return Factorization(
-        rows, tuple(pivots), free, tuple(map(tuple, transform)),
-        tuple(map(tuple, directions)), chart_det,
+        rows, tuple(pivots), free, tuple(tuple(r[E:]) for r in m),
+        tuple(map(tuple, directions)), delta,
         tuple((adj, positive, y, denominator // den)
               for adj, positive, y, den in bases),
         denominator)
 
 
-def basis_volume(f: Factorization, perimeters: Sequence,
+def basis_volume(f: Factorization, P: Sequence[int], scale: int,
                  order: Sequence[int]) -> Fraction:
     r"""Volume of ``{l >= 0 : M l = p}`` in the chart of the free edges,
     from the feasible bases of ``M`` at ``p + (eps, eps^2, ...)``.
 
-    ``perimeters`` belong to the rows of ``f`` in their sorted order, and
-    ``order`` lists the position in ``f.rows`` of each independent row in
-    label order.  A basis B (|B| = n columns with ``D = det M_B != 0``) is
-    feasible when every ``l_j = (M_B^{-1} (p + eps))_j`` is
-    lexicographically positive: by its sign at p, and on a tie by its first
-    non-zero response to the unit perimeter directions in label order
-    (simulation of simplicity, Edelsbrunner-Muecke 1990).  Every feasible
-    basis is then a simple vertex, and Lawrence's signed vertex formula
-    (Math. Comp. 57, 1991) in the nonbasic coordinates of each vertex gives
-    the volume
+    ``P`` are the integer perimeters ``L p``, L = ``scale``, of the rows
+    of ``f`` in their sorted order; ``order`` lists the position in
+    ``f.rows`` of each independent row in label order.  A basis B
+    (|B| = n columns with ``D = det M_B != 0``) is feasible when every
+    ``l_j = (M_B^{-1} (p + eps))_j`` is lexicographically positive: by its
+    sign at p, and on a tie by its first non-zero response to the unit
+    perimeter directions in label order (simulation of simplicity,
+    Edelsbrunner-Muecke 1990).  Every feasible basis is then a simple
+    vertex, and Lawrence's signed vertex formula (Math. Comp. 57, 1991) in
+    the nonbasic coordinates of each vertex gives the volume
 
         sum_B (w.l_B)^d |det M_P| / (d! |det M_B| prod_{k notin B} (-r_k))
 
     with d = E - n, the reduced costs ``r_k = w_k - w_B M_B^{-1} M_k`` of
-    a weight w, and ``|det M_P| / |det M_B|`` the Jacobian from the
-    nonbasic to the chart coordinates.  Each term is taken at eps = 0, so
-    by continuity the sum is the exact volume at p.  It is 1 for a
+    a weight w, and ``|det M_P| / |det M_B|`` (``f.chart_det / |D|``) the
+    Jacobian from the nonbasic to the chart coordinates.  Each term is
+    taken at eps = 0, so by continuity the sum is the exact volume at p.  It is 1 for a
     zero-dimensional cell whose point is held and 0 when no basis is
     feasible; in every other case it is the volume of the closure at p.
 
@@ -267,17 +273,14 @@ def basis_volume(f: Factorization, perimeters: Sequence,
     of a face is the entry of adj in that face's column, which is why the
     tie-break reads the columns through ``order``.
 
-    Everything runs on integers: p is scaled by the least common multiple
-    L of its denominators (the volume scales by L^d).  With ``D = det M_B``,
-    ``l_B = adj P / D``, ``w.l_B = y.P / D`` with ``y = w_B adj``, and
-    ``-r_k D = y.M_k - w_k D``, so each term is ``(y.P)^d / den`` with
-    ``den = |D| prod_k (-r_k D)``, read over the common denominator of
-    the factorization.
+    Everything runs on integers (the volume at P is L^d that at p).  With
+    ``D = det M_B``, ``l_B = adj P / D``, ``w.l_B = y.P / D`` with
+    ``y = w_B adj``, and ``-r_k D = y.M_k - w_k D``, so each term is
+    ``(y.P)^d / den`` with ``den = |D| prod_k (-r_k D)``, read over the
+    common denominator of the factorization.
     """
     n, E = len(f.rows), len(f.rows[0])
     d = E - n
-    scale = lcm(*(Fraction(x).denominator for x in perimeters))
-    P = [int(x * scale) for x in perimeters]
     total = 0
     for adj, positive, y, weight in f.bases:
         for row in adj:
@@ -335,10 +338,8 @@ class PolygonFiber:
     @cached_property
     def vertex_positions(self) -> tuple[Fraction, ...]:
         """t-coordinates of the polygon vertices, starting at 0."""
-        out = [Fraction(0)]
-        for x in self.traversal_lengths()[:-1]:
-            out.append(out[-1] + x)
-        return tuple(out)
+        return tuple(accumulate(self.traversal_lengths()[:-1],
+                                initial=Fraction(0)))
 
     def vertex_distances(self, t: Fraction | None = None
                          ) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -377,13 +378,6 @@ def fiber_integral_alpha(fiber: PolygonFiber) -> Fraction:
     return 2 * total / p ** 2
 
 
-def scaled_fiber(fiber: PolygonFiber, scale) -> PolygonFiber:
-    s = Fraction(scale)
-    return PolygonFiber.create(fiber.face,
-                               [s * x for x in fiber.side_lengths],
-                               s * fiber.t)
-
-
 class PolygonBundle(NamedTuple):
     """The polygon bundle of one face over a cell: a polytopal complex in
     coordinates (chart of the cell, t) with the connection form, plus the
@@ -411,7 +405,7 @@ def polygon_bundle(cell: CellPolytope, face_label: int) -> PolygonBundle:
 
     if cell.is_empty:
         raise ValueError("cannot build a bundle over an empty cell")
-    face = next(w for w in faces(cell.graph) if w.label == face_label)
+    face = face_word(cell.graph, face_label)
     d = cell.dim
     k = face.degree
     p = cell.perimeters[face_label - 1]

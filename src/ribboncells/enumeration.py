@@ -288,7 +288,7 @@ def _face_count(s0: list[int]) -> int:
     return len(cycles([s0[h ^ 1] for h in range(len(s0))]))
 
 
-def _unlabelled_classes(g: int, n: int) -> list[StableRibbonGraph]:
+def _unlabelled_classes(g: int, n: int, grown=None) -> list[StableRibbonGraph]:
     """One trivalent graph per unlabelled class at ``(g, n)``, the first
     met.  Above E = 3 the classes grow from those with E - 3 edges: an
     insertion inside one face of a ``(g, n-1)`` graph or a tadpole adds a
@@ -304,9 +304,12 @@ def _unlabelled_classes(g: int, n: int) -> list[StableRibbonGraph]:
     if (g, n) in _SEEDS:
         candidates = _SEEDS[g, n]
     else:
+        grown = {} if grown is None else grown  # each source grows once a call
         sources = ([(g, n - 1)] if n > 1 else []) + ([(g - 1, n + 1)] if g > 0 else [])
-        candidates = (s0 for source in sources
-                      for parent in _unlabelled_classes(*source)
+        for source in sources:
+            if source not in grown:
+                grown[source] = _unlabelled_classes(*source, grown)
+        candidates = (s0 for source in sources for parent in grown[source]
                       for s0 in _children(parent))
     found: dict[bytes, StableRibbonGraph] = {}
     for s0 in candidates:

@@ -16,16 +16,16 @@ meeting there counts each point; no vertex enumeration or triangulation
 is involved.
 
 Every omega_i is constant, so in the 2D-dimensional chart it is an
-antisymmetric matrix A_i, built once per cell from a prefix sum over the
-face word, and (sum_i t_i omega_i)^D / D! = Pf(sum_i t_i A_i) dx_1 ...
-dx_2D (Kontsevich 1992, section 2).  The cell coefficient is the
-multilinear part of that Pfaffian, grouped by how many copies of each
-face a term holds, and no polynomial algebra is needed.
+antisymmetric matrix A_i, and (sum_i t_i omega_i)^D / D! = Pf(sum_i t_i
+A_i) dx_1 ... dx_2D (Kontsevich 1992, section 2).  With the chart rows
+integers over delta = |det M_P|, B_i = (delta p_i)^2 A_i is an integer
+matrix that does not depend on p, built once per cell from a prefix sum
+over the face word.  The cell coefficient is the multilinear part of
+Pf(sum_i t_i B_i), grouped by copies per face, over delta^2D prod p_i^2d_i.
 
-Cells are oriented so that ``(sum_i p_i^2 omega_i)^D``, that is the
-Pfaffian of ``sum_i p_i^2 A_i`` over the same matrices, is positive; the
-overall normalization makes the (0, 3) number equal to 1 and is then
-fixed once and for all.
+Cells are oriented so that ``(sum_i p_i^2 omega_i)^D``, the Pfaffian of
+the p-free sum_i B_i over delta^2D, is positive; the overall normalization
+makes the (0, 3) number equal to 1 and is then fixed once and for all.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from .cells import CellPolytope, cell_polytope
 from .enumeration import (GraphClass, automorphisms, enumerate_trivalent,
                           require_enumerable, require_stable)
 from .linalg import pfaffian
-from .permgraph import faces
+from .permgraph import face_word
 
 
 class QueryError(ValueError):
@@ -52,34 +52,38 @@ class OrientationError(ValueError):
     convention cannot decide a sign and guessing is not allowed."""
 
 
-def omega(cell: CellPolytope, face_label: int) -> list[list[Fraction]]:
-    """The antisymmetric chart matrix A of one face's curvature form,
-    ``omega = sum_{j<k} A[j][k] dx_j ^ dx_k``.
+def integer_curvature(cell: CellPolytope, face_label: int) -> list[list[int]]:
+    """The integer matrix ``B = (delta p)^2 A`` of one face's curvature
+    form ``omega = sum_{j<k} A[j][k] dx_j ^ dx_k`` in the cell chart.
 
-    With u_b the chart row of side b and U_b the sum of the rows before
-    it, A = p^-2 sum_{b<k-1} (U_b u_b^T - u_b U_b^T), so one prefix sum
-    over the face word suffices.  The matrix does not depend on which
-    side is taken first, because the rows of all k sides sum to 0 on the
-    chart."""
+    With u_b the integer chart row of side b and U_b the sum of the rows
+    before it, B = sum_{b<k-1} (U_b u_b^T - u_b U_b^T), so one prefix sum
+    over the face word suffices.  B does not depend on p, nor on which side
+    is taken first, because the rows of all k sides sum to 0 on the chart."""
     if not cell.chart_volume:
         raise ValueError("cell is empty at p + (eps, eps^2, ...)")
-    word = next(w for w in faces(cell.graph) if w.label == face_label)
+    word = face_word(cell.graph, face_label)
     d = cell.dim
-    prefix = [Fraction(0)] * d
-    # half[j][k] = sum_b U_b[j] u_b[k]; A is its antisymmetric part
-    half = [[Fraction(0)] * d for _ in range(d)]
+    prefix = [0] * d
+    # half[j][k] = sum_b U_b[j] u_b[k]; B is its antisymmetric part
+    half = [[0] * d for _ in range(d)]
     for e in word.edges[:-1]:
-        u = cell.edge_charts[e][0]
-        nonzero = [(k, c) for k, c in enumerate(u) if c]
+        nonzero = [(k, c) for k, c in enumerate(cell.directions[e]) if c]
         for row, x in zip(half, prefix):
             if x:
                 for k, c in nonzero:
                     row[k] += x * c
         for k, c in nonzero:
             prefix[k] += c
-    scale = 1 / cell.perimeters[face_label - 1] ** 2
-    return [[(half[j][k] - half[k][j]) * scale for k in range(d)]
-            for j in range(d)]
+    return [[half[j][k] - half[k][j] for k in range(d)] for j in range(d)]
+
+
+def omega(cell: CellPolytope, face_label: int) -> list[list[Fraction]]:
+    """The ``Fraction`` matrix ``A = B / (delta p)^2`` of one face's
+    curvature form, B from :func:`integer_curvature`."""
+    B = integer_curvature(cell, face_label)  # first, so a bad label raises
+    scale = 1 / (cell.delta * cell.perimeters[face_label - 1]) ** 2
+    return [[x * scale for x in row] for row in B]
 
 
 def _combination(mats, weights) -> list[list]:
@@ -102,9 +106,9 @@ def restrict_to_cell(mats: Sequence, exponents: Sequence[int]) -> Fraction:
     is the sum, over the subsets of the copies, of
     (-1)^(D-|S|) Pf(sum_{k in S} A_k); a subset holding s_i copies of face
     i stands for prod_i C(d_i, s_i) of them, so only prod_i (d_i + 1)
-    Pfaffians are taken.  Each Pfaffian is homogeneous of degree D in
-    the matrices, so integer matrices C A_i give C^D times the coefficient
-    (see :func:`integrate_cell`)."""
+    Pfaffians are taken.  The coefficient is linear in each copy, so the
+    integer matrices ``B_i = (delta p_i)^2 A_i`` give
+    ``delta^2D prod_i p_i^(2 d_i)`` times it (see :func:`integrate_cell`)."""
     d = len(mats[0])
     D = sum(exponents)
     if 2 * D != d:
@@ -119,18 +123,14 @@ def restrict_to_cell(mats: Sequence, exponents: Sequence[int]) -> Fraction:
     return total
 
 
-def orientation_sign(mats: Sequence, perimeters: Sequence) -> int:
+def orientation_sign(mats: Sequence) -> int:
     """Sign of ``(sum_i p_i^2 omega_i)^D / D! = Pf(sum_i p_i^2 A_i)`` from
-    the chart matrices A_i of the faces; +1 on a zero-dimensional cell,
-    whose Pfaffian is that of the empty matrix.  An odd-dimensional cell
-    has Pfaffian 0 and, like any other degenerate one, raises.
-
-    The weights are the integers (p_i L)^2, L the common denominator of
-    the perimeters: they multiply the Pfaffian by L^2D > 0, which keeps its
-    sign and its vanishing, and integer matrices then give an integer sum."""
-    p = [Fraction(x) for x in perimeters]
-    den = lcm(*(x.denominator for x in p))
-    pf = pfaffian(_combination(mats, [int(x * den) ** 2 for x in p]))
+    the integer matrices ``B_i = (delta p_i)^2 A_i``; +1 on a
+    zero-dimensional cell, whose Pfaffian is that of the empty matrix.  An
+    odd-dimensional cell has Pfaffian 0 and, like any other degenerate one,
+    raises.  No perimeters are needed: ``p_i^2 omega_i = sum_{a<b<=k-1}
+    dl_a ^ dl_b`` is p-free, with matrix ``B_i / delta^2``."""
+    pf = pfaffian(_combination(mats, [1] * len(mats)))
     if pf == 0:
         raise OrientationError(
             "reference form degenerate on this cell; refusing to guess a sign")
@@ -216,15 +216,11 @@ def integrate_cell(cls: GraphClass, query: IntersectionQuery) -> CellContributio
                                 Fraction(0), Fraction(0), Fraction(0))
     if cell.rank_deficient:
         raise ValueError("rank-deficient incidence matrix over these perimeters")
-    mats = [omega(cell, i) for i in range(1, g.num_faces + 1)]
-    # C A_i are integer matrices, C the common denominator of every entry;
-    # Pf(C A) = C^D Pf(A), so the sums and Pfaffians run on ints and the
-    # coefficient is divided by C^D once
-    scale = lcm(*(x.denominator for m in mats for row in m for x in row))
-    mats = [[[x.numerator * (scale // x.denominator) for x in row] for row in m]
-            for m in mats]
-    sign = orientation_sign(mats, query.perimeters)
-    coeff = restrict_to_cell(mats, query.exponents) / scale ** (cell.dim // 2)
+    mats = [integer_curvature(cell, i) for i in range(1, g.num_faces + 1)]
+    sign = orientation_sign(mats)
+    coeff = restrict_to_cell(mats, query.exponents) / (
+        cell.delta ** cell.dim
+        * prod(p ** (2 * d) for p, d in zip(query.perimeters, query.exponents)))
     contribution = sign * coeff * vol / aut
     return CellContribution(cls.key, aut, False, sign, coeff, vol, contribution)
 

@@ -27,7 +27,7 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]
     return m, scales
 
 
-def _gauss_jordan(m: list[list[int]], ncols: int
+def gauss_jordan(m: list[list[int]], ncols: int
                   ) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of the integer matrix ``m``
     in place, pivoting in its first ``ncols`` columns.  Returns the pivot
@@ -77,7 +77,7 @@ def row_reduce(rows: Sequence[Sequence], rhs: Sequence[Sequence] | None = None):
     if rhs is not None:
         rows = [list(a) + list(b) for a, b in zip(rows, rhs)]
     m, _ = _integer_rows(rows)
-    pivots, a, _ = _gauss_jordan(m, ncols)
+    pivots, a, _ = gauss_jordan(m, ncols)
     rref = [[Fraction(x, a) for x in row] for row in m]
     return ([row[:ncols] for row in rref], [row[ncols:] for row in rref],
             pivots)
@@ -150,7 +150,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix: that of its rows scaled to
     integers, divided by the product of the row scales."""
     m, scales = _integer_rows(rows)
-    pivots, a, sign = _gauss_jordan(m, len(m))
+    pivots, a, sign = gauss_jordan(m, len(m))
     if len(pivots) < len(m):
         return Fraction(0)
     return Fraction(sign * a, prod(scales))
@@ -169,7 +169,7 @@ def adjugate(rows: Sequence[Sequence[int]]
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(rows)]
-    pivots, a, sign = _gauss_jordan(m, n)
+    pivots, a, sign = gauss_jordan(m, n)
     if len(pivots) < n:
         return 0, None
     return sign * a, [[sign * x for x in row[n:]] for row in m]

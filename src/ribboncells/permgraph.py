@@ -409,6 +409,13 @@ def faces(g: StableRibbonGraph) -> list[FaceWord]:
     return out
 
 
+def face_word(g: StableRibbonGraph, label: int) -> FaceWord:
+    """The face word labelled ``label``; ``ValueError`` for any other."""
+    if label not in range(1, g.num_faces + 1):
+        raise ValueError(f"no face labelled {label!r}: labels run 1..{g.num_faces}")
+    return faces(g)[label - 1]
+
+
 def genus(g: StableRibbonGraph) -> int:
     """Genus: arithmetic genus of the surface of embedding plus the sum of
     genus defects, by :func:`euler_genus` on the graph's counts."""

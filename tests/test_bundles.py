@@ -91,7 +91,8 @@ class TestTrivialBundle:
 
         from ribboncells.cells import cell_polytope, polygon_bundle
         from ribboncells.enumeration import automorphisms, enumerate_trivalent
-        from ribboncells.intersect import default_perimeters, omega, orientation_sign
+        from ribboncells.intersect import (default_perimeters, integer_curvature,
+                                           orientation_sign)
         from ribboncells.polyform import Chain, Gluing, Morphism, PolytopalComplex
 
         p = default_perimeters(4)
@@ -116,8 +117,8 @@ class TestTrivialBundle:
             for name, v in pb.fiber_directions.items():
                 dirs[pre + name] = v
             samples[pre + "cell"] = cell.interior_point()
-            mats = [omega(cell, i) for i in range(1, 5)]
-            weight = F(orientation_sign(mats, p),
+            mats = [integer_curvature(cell, i) for i in range(1, 5)]
+            weight = F(orientation_sign(mats),
                        automorphisms(cls.graph).order)
             chain = chain + polytope_chain(pre + "cell", cell.polytope) * weight
         total = PolytopalComplex(polys, gluings)

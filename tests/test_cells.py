@@ -8,7 +8,7 @@ import pytest
 
 from ribboncells.cells import (PolygonFiber, basis_volume, cell_polytope,
                                factorization, fiber_integral_alpha,
-                               incidence_matrix, polygon_bundle, scaled_fiber)
+                               incidence_matrix, polygon_bundle)
 from ribboncells.cli import main
 from ribboncells.enumeration import (boundary_cells, enumerate_cells,
                                      enumerate_trivalent)
@@ -33,7 +33,7 @@ class TestCellPolytope:
     def test_perimeter_round_trip(self, theta):
         cell = cell_polytope(theta, [12])
         x = cell.interior_point()
-        ls = cell.lengths_at(x)
+        ls = lengths_at(cell, x)
         assert all(l > 0 for l in ls)
         assert perimeters(theta, ls) == (F(12),)
 
@@ -60,7 +60,7 @@ class TestCellPolytope:
                     nonempty.append(cell)
             if _generic_03(p):
                 assert len(nonempty) == 1
-                assert all(l > 0 for l in nonempty[0].lengths_at(()))
+                assert all(l > 0 for l in lengths_at(nonempty[0], ()))
 
     def test_dimension_formula(self):
         for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2)]:
@@ -79,7 +79,13 @@ class TestCellPolytope:
             if cell.is_empty:
                 continue
             x = cell.interior_point()
-            assert perimeters(c.graph, cell.lengths_at(x)) == p
+            assert perimeters(c.graph, lengths_at(cell, x)) == p
+
+
+def lengths_at(cell, x):
+    """Every edge length at the chart point x, read off ``edge_charts``."""
+    return tuple(sum((c * F(v) for c, v in zip(coeffs, x)), F(0)) + const
+                 for coeffs, const in cell.edge_charts)
 
 
 #: Perimeter vectors on walls of the (0,4) and (1,2) cells, as in
@@ -240,11 +246,13 @@ def _factored_volume(graph, p, tie_order):
     M = incidence_matrix(graph)
     f = factorization(tuple(sorted(M)))
     at = {row: k for k, row in enumerate(f.rows)}
+    p = [F(x) for x in p]
+    scale = lcm(*(x.denominator for x in p))
     q = [None] * len(M)
     for row, x in zip(M, p):
-        q[at[row]] = F(x)
+        q[at[row]] = int(x * scale)
     order = [at[row] for row in M] if tie_order == "label" else range(len(M))
-    return basis_volume(f, q, order)
+    return basis_volume(f, q, scale, order)
 
 
 #: Perimeter vectors of the reference comparison: on walls, then generic.
@@ -353,7 +361,10 @@ class TestFiberIntegral:
         rng = random.Random(44)
         w = faces(theta)[0]
         fib = random_fiber(rng, w)
-        assert fiber_integral_alpha(scaled_fiber(fib, F(17, 5))) == -1
+        s = F(17, 5)
+        scaled = PolygonFiber.create(fib.face, [s * x for x in fib.side_lengths],
+                                     s * fib.t)
+        assert fiber_integral_alpha(scaled) == -1
 
     def test_sorted_distances(self, theta):
         fib = PolygonFiber.create(faces(theta)[0], [1, 2, 3, 1, 2, 3], F(1, 2))
@@ -404,6 +415,12 @@ class TestPolygonBundle:
         assert pb.projection.target.polytopes["cell"] is cell.polytope
         cell.interior_point()
         assert [q for q in computed if q is cell.polytope] == [cell.polytope]
+
+    def test_unknown_face_label(self, theta):
+        cell = cell_polytope(theta, [12])
+        for label in (0, 2, -1):
+            with pytest.raises(ValueError, match=rf"labelled {label}: labels run 1\.\.1"):
+                polygon_bundle(cell, label)
 
     def test_validates_as_a_form(self, theta):
         cell = cell_polytope(theta, [12])

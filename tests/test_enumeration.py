@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -235,6 +236,24 @@ class TestGrowth:
         monkeypatch.setattr(enumeration, "_least_traversals", counting)
         enumerate_trivalent(g, n)
         assert len(calls) <= bound
+
+    @pytest.mark.parametrize("g, n, sources", [
+        (1, 3, {(1, 3), (1, 2), (0, 4), (1, 1), (0, 3)}),
+        (0, 5, {(0, 5), (0, 4), (0, 3)})])
+    def test_each_source_grown_once(self, monkeypatch, g, n, sources):
+        """(0,3) is reached through (1,2) and through (0,4) under (1,3), and
+        is grown once; a second enumeration grows everything again."""
+        calls = Counter()
+        unlabelled = enumeration._unlabelled_classes
+
+        def counting(*args):
+            calls[args[:2]] += 1
+            return unlabelled(*args)
+
+        monkeypatch.setattr(enumeration, "_unlabelled_classes", counting)
+        for rounds in (1, 2):
+            enumerate_trivalent(g, n)
+            assert calls == {source: rounds for source in sources}
 
     @pytest.mark.parametrize("g, n", [(g, n) for g, n, _, _ in CLASS_COUNTS])
     def test_growth_matches_the_unpruned_reference(self, g, n):

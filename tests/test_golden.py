@@ -7,8 +7,9 @@ representative graphs of the trivalent classes, the sorted canonical
 keys and boundary triples of two cell closures, the JSON of the first
 draws of the stable-graph sampler for one seed, the JSON of the
 contractions of seeded draws, the report of a whole ``check --suite all``
-pass for three seeds and the values its suites compare, and the
-``model0 --points`` output of five configurations.  The per-cell ledgers of
+pass for three seeds and the values its suites compare, the
+``model0 --points`` output of five configurations, and the files
+``cells --out`` writes at seven perimeter vectors.  The per-cell ledgers of
 the E <= 6 correlators and the automorphism groups of the closure classes
 are pinned too, so a rewrite of the form algebra or of the automorphism
 search must reproduce them exactly; so are the ledgers at perimeters on
@@ -389,3 +390,36 @@ WALL_LEDGER_INVARIANT_DIGESTS = {
 def test_wall_ledger_invariants(perimeters):
     assert _ledger_digest(WALL_EXPONENTS[len(perimeters)], perimeters,
                           invariant=True) == WALL_LEDGER_INVARIANT_DIGESTS[perimeters]
+
+
+#: The files ``cells --out`` writes, digested in name order.  The closures
+#: hold rank-deficient cells and cells empty at p, so every branch of the
+#: chart, and the rationals of its ``Fraction`` view, are pinned; the
+#: fractional perimeters pin the common denominator of the constants.
+CELL_FILE_DIGESTS = {
+    (0, 3, "3,22,19"):
+        "c0bdf4e62ddd6dbba29f630555d9173dddcc6163eb204cf89d50dbe370c357be",
+    (0, 4, "5,5,7,11"):
+        "2676f53d7a4608ce21494f3b3fb4e5c713605579cd11b9b8ab407023ee9b7690",
+    (0, 4, "1,2,3,4"):
+        "73f4c1b2a63c6ec49ab42d3447dc06313c85b2b7f70e8847586ba7de2acaf830",
+    (1, 2, "3,7"):
+        "d8c3b8b76fc80b55e7cbc31a8ae062f5f06417254ff88c345427c9268deefa69",
+    (2, 1, "7"):
+        "89f10993ed4424d0e99651495d9cd43ec540a61fdbcfda64093c05a924a42d4f",
+    (1, 2, "19/2,23/3"):
+        "c6fab5a32c5965fa27ce79cfe09bedfc981f3285591127239ab6c8fbfcae3508",
+    (0, 4, "13/2,9,41/3,8"):
+        "2fa229771f76d0ec85fa4b28e82a26dbbb3dc3d0302600ba4a4081799435691e",
+}
+
+
+@pytest.mark.parametrize("g, n, perimeters", sorted(CELL_FILE_DIGESTS))
+def test_cell_files(g, n, perimeters, tmp_path, capsys):
+    out = tmp_path / "cells"
+    assert main(["cells", "--genus", str(g), "--faces", str(n),
+                 "--perimeters", perimeters, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == CELL_FILE_DIGESTS[g, n, perimeters]

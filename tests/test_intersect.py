@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -11,9 +12,9 @@ from ribboncells.cells import cell_polytope
 from ribboncells.enumeration import enumerate_trivalent
 from ribboncells.intersect import (QueryError,
                                    check_p_independence, default_perimeters,
-                                   integrate_cell, intersection_number,
-                                   make_query, omega, orientation_sign,
-                                   restrict_to_cell)
+                                   integer_curvature, integrate_cell,
+                                   intersection_number, make_query, omega,
+                                   orientation_sign, restrict_to_cell)
 
 F = Fraction
 
@@ -107,6 +108,11 @@ def _subset_sum(mats, exponents):
 
 def _face_matrices(cell):
     return [omega(cell, i) for i in range(1, cell.graph.num_faces + 1)]
+
+
+def _integer_matrices(cell):
+    return [integer_curvature(cell, i)
+            for i in range(1, cell.graph.num_faces + 1)]
 
 
 class TestOmega:
@@ -212,6 +218,15 @@ class TestOmega:
                 checked += 1
             assert checked > 0
 
+    def test_unknown_face_label(self):
+        (c,) = enumerate_trivalent(1, 1)
+        cell = cell_polytope(c.graph, (F(7),))
+        for label in (0, 2):
+            for build in (omega, integer_curvature):
+                with pytest.raises(ValueError,
+                                   match=rf"labelled {label}: labels run 1\.\.1"):
+                    build(cell, label)
+
 
 class TestRestrict:
     def test_zero_dim_empty_product(self):
@@ -255,19 +270,19 @@ class TestOrientation:
         for c in enumerate_trivalent(0, 3):
             cell = cell_polytope(c.graph, p)
             if not cell.is_empty:
-                assert orientation_sign(_face_matrices(cell), p) == 1
+                assert orientation_sign(_integer_matrices(cell)) == 1
 
     def test_11_reference_nonzero(self):
         p = (F(7),)
         (c,) = enumerate_trivalent(1, 1)
         cell = cell_polytope(c.graph, p)
-        assert orientation_sign(_face_matrices(cell), p) in (-1, 1)
+        assert orientation_sign(_integer_matrices(cell)) in (-1, 1)
 
     def test_odd_dimension_refused(self):
         from ribboncells.intersect import OrientationError
 
         with pytest.raises(OrientationError):
-            orientation_sign([[[F(0)]]], (F(3),))
+            orientation_sign([[[0]]])
 
     def test_contribution_chart_invariance_via_p_scaling(self):
         # scaling p rescales charts; contributions stay fixed
@@ -278,31 +293,48 @@ class TestOrientation:
 
 
 class TestIntegerSums:
+    """``integrate_cell`` reads sign and coefficient off the integer
+    matrices ``B_i = (delta p_i)^2 A_i``.  The reference takes the Fraction
+    matrices A_i from ``_pair_reference``, which walks ``edge_charts`` pair
+    by pair, weights them by p_i^2 for the sign and takes the coefficient
+    from them directly.  The (0,5) classes include the 60 whose chart rows
+    have denominator 2, where delta = 4; delta = 2 for every other class
+    with E <= 9, so a missing power of delta shows."""
+
     @pytest.mark.parametrize("genus, d, p", [
         (1, (1, 1), (F(19, 3), 5)), (1, (2, 0), (3, F(7, 2))),
         (0, (1, 0, 0, 0), (F(7, 2), 5, F(22, 3), 11)),
-        (2, (4,), (F(40, 3),)), (0, (2, 0, 0, 0, 0), None)])
+        (2, (4,), (F(40, 3),)), (0, (2, 0, 0, 0, 0), None),
+        (0, (1, 0, 0, 0), (5, 5, 7, 11)), (0, (0, 0, 1, 0), (5, 5, 7, 11)),
+        (1, (2, 0), (5, 5)), (1, (1, 1), (5, 5))])
     def test_matches_the_fraction_route(self, genus, d, p):
-        """``integrate_cell`` sums integer matrices C A_i; the reference
-        weights the Fraction matrices A_i by p_i^2 for the sign and takes
-        the coefficient from them directly."""
         from conftest import trivalent_classes
-        from ribboncells.intersect import _combination
         from ribboncells.linalg import pfaffian
 
         q = make_query(genus, d, p)
-        checked = 0
+        weights = [x * x for x in q.perimeters]
+        D = sum(d)
+        scale = prod(x ** (2 * k) for x, k in zip(q.perimeters, d))
+        deltas, caught = [], 0
         for c in trivalent_classes(genus, len(d)):
             got = integrate_cell(c, q)
             cell = cell_polytope(c.graph, q.perimeters)
             if not cell.chart_volume:
                 continue
-            mats = _face_matrices(cell)
-            pf = pfaffian(_combination(mats, [x * x for x in q.perimeters]))
-            assert got.orientation == (1 if pf > 0 else -1)
-            assert got.coefficient == restrict_to_cell(mats, d)
-            checked += 1
-        assert checked > 0
+            mats = [_pair_reference(cell, i) for i in range(1, q.n + 1)]
+            total = [[sum((w * m[j][k] for w, m in zip(weights, mats)), F(0))
+                      for k in range(cell.dim)] for j in range(cell.dim)]
+            assert got.orientation == (1 if pfaffian(total) > 0 else -1)
+            coefficient = restrict_to_cell(mats, d)
+            assert got.coefficient == coefficient
+            # negative control: dividing by delta^D instead of delta^2D
+            wrong = restrict_to_cell(_integer_matrices(cell), d) \
+                / (cell.delta ** D * scale)
+            caught += wrong != coefficient
+            deltas.append(cell.delta)
+        assert deltas and caught
+        if (genus, q.n) == (0, 5):
+            assert 4 in deltas and 2 in deltas
 
 
 class TestSharedMatrices:
@@ -310,22 +342,46 @@ class TestSharedMatrices:
         (0, (0, 0, 0), (3, 22, 19)), (1, (1,), None), (0, (1, 0, 0, 0), None),
         (1, (1, 1), (5, 5))])
     def test_one_omega_per_face_per_cell(self, monkeypatch, genus, d, p):
+        """One integer build per face of each non-empty cell, none for an
+        empty one; the builder's entries, and the sums the Pfaffians take,
+        are ints."""
         import ribboncells.intersect as intersect
 
         calls = []
-        real = intersect.omega
+        real, real_pfaffian = intersect.integer_curvature, intersect.pfaffian
 
         def counting(cell, face_label):
             calls.append(face_label)
-            return real(cell, face_label)
+            out = real(cell, face_label)
+            assert all(type(x) is int for row in out for x in row)
+            return out
 
-        monkeypatch.setattr(intersect, "omega", counting)
+        def integer_only(rows):
+            assert all(type(x) is int for row in rows for x in row)
+            return real_pfaffian(rows)
+
+        monkeypatch.setattr(intersect, "integer_curvature", counting)
+        monkeypatch.setattr(intersect, "pfaffian", integer_only)
         q = make_query(genus, d, p)
         for c in enumerate_trivalent(genus, len(d)):
             calls.clear()
             got = integrate_cell(c, q)
             expected = list(range(1, q.n + 1)) if got.chart_volume else []
             assert calls == expected
+
+    @pytest.mark.parametrize("genus, d, p", [
+        (0, (0, 0, 0), None), (0, (0, 0, 0), (3, 22, 19)), (1, (1,), None),
+        (0, (1, 0, 0, 0), None), (1, (1, 1), None), (1, (2, 0), None)])
+    def test_values_without_omega(self, monkeypatch, genus, d, p):
+        """``omega`` is a view for the suites, bundles and demos; the
+        intersection numbers never reach it."""
+        import ribboncells.intersect as intersect
+
+        def forbidden(*args):
+            raise AssertionError("integrate_cell reached omega")
+
+        monkeypatch.setattr(intersect, "omega", forbidden)
+        assert intersection_number(genus, d, p).value == tau(*d)
 
 
 def _is_03_wall(p):
