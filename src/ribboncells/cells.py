@@ -357,25 +357,37 @@ class PolygonFiber:
 
 
 def fiber_integral_alpha(fiber: PolygonFiber) -> Fraction:
-    """Exact integral of the connection form over the polygon fiber, by
-    piecewise integration of the t-component over each arc.
+    """Exact integral of the connection form over the polygon fiber, in one
+    pass over the vertices.
 
-    Between two consecutive vertices the sorted order of the distances is
-    fixed and each distance phi_j is affine in t, so its rate is read off
-    :meth:`PolygonFiber.vertex_distances` at two points inside the arc."""
+    Number the vertices by their positions ``q_m`` and let ``phi_m(t)`` be
+    the distance from the point at t to vertex m, and ``lambda_m`` the side
+    that follows it.  Measured against t (as
+    :meth:`PolygonFiber.vertex_distances` does) it is ``(q_m - t) mod p``,
+    measured along t ``(t - q_m) mod p``; either way it changes at one rate
+    ``r_m`` (-1 or +1) and jumps by ``p`` at ``t = q_m``, where the point
+    passes the vertex, so on each arc between consecutive vertices it is
+    affine with rate ``r_m``.  The sorted order of the distances is fixed
+    on an arc, and each sorted pair ``(phi_i, lambda_i)`` belongs to one
+    vertex, so on every arc the t-component of alpha is
+
+        sum_i lambda_i phi_i' / p^2 = sum_m lambda_m r_m / p^2,
+
+    the same constant: a later arc only rotates the sorted order.  The form
+    is integrated piecewise over the arcs, so the jumps add nothing, and
+    over the whole fiber, of length p, the integral is
+    ``sum_m lambda_m r_m / p``.  The rates are read from
+    :meth:`PolygonFiber.vertex_distances` at a quarter and three quarters
+    of the first arc, ``[q_0, q_1]``: two calls, O(k) work."""
     p = fiber.perimeter
     qs = fiber.vertex_positions + (p,)
-    total = Fraction(0)
-    for lo, hi in zip(qs, qs[1:]):
-        # the t-component of alpha is sum_j lambda_j phi_j' / p^2; with t1
-        # and t2 at a quarter and three quarters of the arc, its integral
-        # over the arc is 2 sum_j lambda_j (phi_j(t2) - phi_j(t1)) / p^2
-        quarter = (hi - lo) / 4
-        at1 = fiber.vertex_distances(lo + quarter)
-        at2 = fiber.vertex_distances(hi - quarter)
-        total += sum((lam * (phi2 - phi1) for (phi1, lam), (phi2, _)
-                      in zip(at1, at2)), Fraction(0))
-    return 2 * total / p ** 2
+    quarter = qs[1] / 4
+    at1 = fiber.vertex_distances(quarter)
+    at2 = fiber.vertex_distances(qs[1] - quarter)
+    # each rate is (phi(t2) - phi(t1)) / (2 quarter)
+    total = sum((lam * (phi2 - phi1) for (phi1, lam), (phi2, _)
+                 in zip(at1, at2)), Fraction(0))
+    return total / (2 * quarter * p)
 
 
 class PolygonBundle(NamedTuple):

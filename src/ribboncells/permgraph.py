@@ -186,6 +186,18 @@ class StableRibbonGraph:
                                f"bijection onto 1..{len(face_cycles)}"))
         return tuple(out)
 
+    @cached_property
+    def _face_words(self) -> tuple[FaceWord, ...]:
+        """The words :func:`faces` returns, built once per instance after
+        its validity check.  They carry the labels, so a
+        :func:`with_face_labels` copy builds its own."""
+        self.require_valid(require_stability=False)
+        label_of = self.face_label_of
+        return tuple(sorted(
+            (FaceWord(label=label_of[cyc[0]], half_edges=cyc,
+                      edges=tuple(h >> 1 for h in cyc))
+             for cyc in self.sigma2_cycles), key=lambda f: f.label))
+
     # -- validation ---------------------------------------------------
 
     def require_valid(self, require_stability: bool = True) -> "StableRibbonGraph":
@@ -398,22 +410,17 @@ def _stability_violation(g: StableRibbonGraph) -> Violation | None:
 
 def faces(g: StableRibbonGraph) -> list[FaceWord]:
     """The labelled face words: the cycles of ``sigma2`` with their edge
-    sequences.  Every half-edge appears in exactly one word."""
-    g.require_valid(require_stability=False)
-    out = []
-    for cyc in g.sigma2_cycles:
-        lab = g.face_label_of[cyc[0]]
-        out.append(FaceWord(label=lab, half_edges=cyc,
-                            edges=tuple(h >> 1 for h in cyc)))
-    out.sort(key=lambda f: f.label)
-    return out
+    sequences, in label order.  Every half-edge appears in exactly one
+    word.  The words are built once per graph; each call returns a fresh
+    list of them."""
+    return list(g._face_words)
 
 
 def face_word(g: StableRibbonGraph, label: int) -> FaceWord:
     """The face word labelled ``label``; ``ValueError`` for any other."""
     if label not in range(1, g.num_faces + 1):
         raise ValueError(f"no face labelled {label!r}: labels run 1..{g.num_faces}")
-    return faces(g)[label - 1]
+    return g._face_words[label - 1]
 
 
 def genus(g: StableRibbonGraph) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .geometry import AffineMap
 from .poly import Polynomial
@@ -186,9 +186,6 @@ class Form:
                 out[cols] = total.subst(coords) if coords else \
                     Polynomial.constant(m, total.eval(()))
         return Form(m, self.degree, out)
-
-    def coefficient(self, idx: Sequence[int]) -> Polynomial:
-        return self.comps.get(tuple(idx), Polynomial.constant(self.nvars, 0))
 
     def uses_variable(self, i: int) -> bool:
         """Whether dx_i occurs or any coefficient depends on x_i."""

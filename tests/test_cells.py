@@ -372,6 +372,25 @@ class TestFiberIntegral:
         assert phis == sorted(phis)
         assert all(0 <= phi < fib.perimeter for phi in phis)
 
+    def test_two_distance_reads_per_fiber(self, monkeypatch):
+        # the rates come from the first arc alone, whatever the degree
+        calls = []
+        real = PolygonFiber.vertex_distances
+
+        def counting(self, t=None):
+            calls.append(t)
+            return real(self, t)
+
+        rng = random.Random(46)
+        fibers = [random_fiber(rng, w) for _ in range(30)
+                  for w in faces(random_stable_graph(rng, max_edges=7))]
+        assert max(fib.degree for fib in fibers) >= 8
+        monkeypatch.setattr(PolygonFiber, "vertex_distances", counting)
+        for fib in fibers:
+            calls.clear()
+            assert fiber_integral_alpha(fib) == -1
+            assert len(calls) <= 2
+
     def test_distances_against_t_flip_the_sign(self, monkeypatch):
         # negative control: measuring the distances along t, not against
         # it, must change the integral, and the alpha suite must notice

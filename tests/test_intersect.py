@@ -612,3 +612,28 @@ class TestMainLemma:
 
         values = self._values(1, 3, short, lambda p: [x * x for x in p])
         assert len(values) > 1
+
+
+def test_face_words_built_once_per_graph(monkeypatch):
+    # fresh copies of the (0,4) classes, so no words are cached yet; two
+    # queries over each run cell_polytope and integrate_cell twice
+    from ribboncells import permgraph
+
+    classes = [c._replace(graph=permgraph.with_face_labels(c.graph, c.graph.face_labels))
+               for c in enumerate_trivalent(0, 4)]
+    built = []
+    real = permgraph.FaceWord
+
+    def counting(**fields):
+        built.append(fields["half_edges"])
+        return real(**fields)
+
+    monkeypatch.setattr(permgraph, "FaceWord", counting)
+    nonempty = 0
+    for d in ((1, 0, 0, 0), (0, 0, 1, 0)):
+        q = make_query(0, d, [F(3), F(5), F(7), F(11)])
+        for c in classes:
+            cell_polytope(c.graph, q.perimeters)
+            nonempty += not integrate_cell(c, q).empty
+    assert nonempty > 0
+    assert len(built) == sum(c.graph.num_faces for c in classes)

@@ -418,6 +418,20 @@ class TestOpsRequireValidity:
         g.require_valid(require_stability=False)
         assert "_stability_violation" not in check_calls
 
+    def test_face_words_follow_the_labels_of_a_copy(self):
+        # the cached words carry labels, so a relabelled copy has its own
+        g = make_graph([([(0, 2, 4)], 0), ([(1, 5, 3)], 0)])
+        words = faces(g)
+        words.clear()  # a fresh list: the cache is untouched
+        words = faces(g)
+        n = g.num_faces
+        assert [w.label for w in words] == list(range(1, n + 1))
+        reversed_labels = with_face_labels(
+            g, {h: n + 1 - lab for h, lab in g.face_labels.items()})
+        assert [w.half_edges for w in faces(reversed_labels)] == \
+            [w.half_edges for w in reversed(words)]
+        assert permgraph.face_word(reversed_labels, 1) == faces(reversed_labels)[0]
+
     def test_invalid_graph_raises_every_time(self, validate_calls):
         g = make_graph([([(0,), (1,)], 0), ([(2,), (3,)], 0)])
         for _ in range(2):

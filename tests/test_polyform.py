@@ -11,6 +11,7 @@ from ribboncells.polyform import (AffineMap, Chain, Form, FormOnComplex,
                                   simplex_integral, stokes_check, triangulate,
                                   validate_form, volume)
 from ribboncells.linalg import det
+from ribboncells.polyform import chains as chains_module
 from ribboncells.polyform import geometry
 
 F = Fraction
@@ -378,6 +379,162 @@ class TestBoundary:
                                          for name, poly in cx.polytopes.items()})
             assert integrate(form, chain.boundary()) == \
                 integrate(form, reference_boundary(chain))
+
+
+def reference_integrate(form, chain):
+    """The route ``integrate`` replaced, kept as a second one: pull each
+    local form back along the piece's chart and integrate the polynomial
+    over the standard simplex."""
+    total = F(0)
+    for coeff, piece in chain.terms:
+        pulled = form.forms[piece.polytope].pullback(piece.chart)
+        poly = pulled.comps.get(tuple(range(chain.degree)))
+        if poly is not None:
+            total += coeff * simplex_integral(poly)
+    return total
+
+
+def box_complex(n):
+    box = Polytope.from_bounds([(-2, 2)] * n) if n else Polytope.create(0, [])
+    return PolytopalComplex({"box": box}, [])
+
+
+def random_piece_cases(seed, count=240):
+    """Seeded (form, chain) pairs on single pieces of degree 0-3 in ambient
+    dimension up to 3, 0-pieces in dimension 0 included."""
+    rng = random.Random(seed)
+    shapes = [(k, n) for n in range(4) for k in range(n + 1)]
+    cases = []
+    for i in range(count):
+        k, n = shapes[i % len(shapes)]
+        pts = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+               for _ in range(k + 1)]
+        piece = Piece.create("box", pts)
+        local = random_form(rng, n, k) if n else Form.function(
+            Polynomial.constant(0, F(rng.randint(-5, 5), rng.randint(1, 4))))
+        form = FormOnComplex(box_complex(n), k, {"box": local})
+        cases.append((form, Chain(k, [(F(rng.randint(1, 3)), piece)])))
+    return cases
+
+
+class TestPieceIntegrals:
+    def test_matches_pullback_route_on_random_pieces(self):
+        cases = random_piece_cases(31)
+        assert {c.degree for _, c in cases} == {0, 1, 2, 3}
+        nonzero = 0
+        for form, chain in cases:
+            want = reference_integrate(form, chain)
+            assert integrate(form, chain) == want
+            nonzero += want != 0
+        assert nonzero > len(cases) // 2
+
+    def test_zero_pieces_evaluate(self):
+        rng = random.Random(32)
+        for n in range(4):
+            point = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+            f = random_poly(rng, n) if n else Polynomial.constant(0, F(7, 3))
+            form = FormOnComplex(box_complex(n), 0, {"box": Form.function(f)})
+            chain = Chain(0, [(F(2), Piece.create("box", [point]))])
+            assert integrate(form, chain) == 2 * f.eval(point)
+
+    def test_matches_pullback_route_on_the_corpus(self):
+        from ribboncells import suites
+
+        rng = random.Random(33)
+        chains = 0
+        for cx, whole in suites._stokes_corpus().values():
+            for chain in (whole, whole.boundary()):
+                for _ in range(10):
+                    form = FormOnComplex(cx, chain.degree, {
+                        name: random_form(rng, poly.dim, chain.degree)
+                        for name, poly in cx.polytopes.items()})
+                    assert integrate(form, chain) == \
+                        reference_integrate(form, chain)
+                chains += 1
+        assert chains == 8
+
+    def test_arity_mismatch_is_refused(self):
+        cx = single_square_complex()
+        w = FormOnComplex(cx, 1, {"sq": Form(2, 1, {(0,): x(1, 2)})})
+        flat = Chain(1, [(F(1), Piece.create("sq", [(0, 0, 0), (1, 1, 1)]))])
+        with pytest.raises(ValueError, match="form on 2 coordinates"):
+            integrate(w, flat)
+
+    def test_moments_and_minors_are_memoized(self, monkeypatch):
+        cx = single_square_complex()
+        chain = polytope_chain("sq", cx.polytopes["sq"])
+        rng = random.Random(34)
+        forms = [FormOnComplex(cx, 2, {"sq": random_form(rng, 2, 2)})
+                 for _ in range(5)]
+        want = [integrate(w, chain) for w in forms]
+        # a second pass reads only the memos
+        monkeypatch.setattr(chains_module, "simplex_integral", None)
+        monkeypatch.setattr(chains_module, "det", None)
+        assert [integrate(w, chain) for w in forms] == want
+
+    def test_another_pieces_moments_change_the_value(self, monkeypatch):
+        # negative control: the moments of the piece shifted by 1/2 along
+        # the first coordinate
+        real = Piece.moment
+
+        def shifted(piece, e):
+            moved = tuple((v[0] + F(1, 2),) + v[1:] for v in piece.vertices)
+            return real(Piece(piece.polytope, moved), e)
+
+        cases = [c for c in random_piece_cases(31) if c[1].terms[0][1].vertices[0]]
+        want = [reference_integrate(form, chain) for form, chain in cases]
+        monkeypatch.setattr(Piece, "moment", shifted)
+        got = [integrate(form, chain) for form, chain in cases]
+        assert sum(a != b for a, b in zip(got, want)) > len(cases) // 2
+
+    def test_minors_of_transposed_columns_change_the_value(self, monkeypatch):
+        # negative control: swapping the chart's first two columns flips
+        # the sign of every minor of a piece of degree 2 or 3
+        def transposed(piece, rows):
+            a = piece.chart.matrix
+            return det([(r[1], r[0]) + r[2:] for r in (a[i] for i in rows)])
+
+        cases = [c for c in random_piece_cases(31) if c[1].degree >= 2]
+        want = [reference_integrate(form, chain) for form, chain in cases]
+        assert sum(w != 0 for w in want) > len(cases) // 2
+        monkeypatch.setattr(Piece, "minor", transposed)
+        for (form, chain), w in zip(cases, want):
+            assert integrate(form, chain) == -w
+
+
+class TestChainMemo:
+    def test_chains_are_immutable(self):
+        chain = polytope_chain("sq", unit_square())
+        assert isinstance(chain.terms, tuple)
+        with pytest.raises(AttributeError):
+            chain.terms = ()
+        with pytest.raises(AttributeError):
+            chain.degree = 1
+        assert chain.boundary() is chain.boundary()
+
+    def test_stokes_suite_builds_each_boundary_once(self, monkeypatch):
+        from functools import cached_property
+
+        from ribboncells.suites import run_suite
+
+        built = []
+        real = Chain.__dict__["_boundary"].func
+
+        def counting(chain):
+            built.append(chain)  # kept alive, so no id is reused
+            return real(chain)
+
+        memo = cached_property(counting)
+        memo.__set_name__(Chain, "_boundary")
+        monkeypatch.setattr(Chain, "_boundary", memo)
+        (report,) = run_suite("stokes", seed=5, cases=80)
+        assert report.ok and report.cases == 80
+        # the four corpus chains are built once per run, and about half
+        # the cases integrate over one of them
+        assert 0 < len(built) < 80
+        assert len({id(c) for c in built}) == len(built)
+        for chain in list(built):
+            assert chain.boundary().boundary().is_zero()
 
 
 class TestStokes:
